@@ -1,11 +1,13 @@
 //! Component microbenchmarks: entangled-query evaluation (grounding +
-//! coordinating-set search), lock manager throughput, WAL append/recovery.
+//! coordinating-set search), lock manager throughput, WAL append/recovery,
+//! entanglement-group lookups, and the storage vacuum.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use entangled_txn::GroupManager;
 use youtopia_entangle::{from_ast, ground, solve, SolveInput, SolverConfig};
 use youtopia_lock::{LockManager, LockMode, Resource, TxId};
 use youtopia_sql::{parse_statement, Statement, VarEnv};
-use youtopia_storage::{Database, Schema, Value, ValueType};
+use youtopia_storage::{Database, IndexKind, RowId, Schema, Table, Value, ValueType};
 use youtopia_wal::{recover, LogRecord, Wal};
 
 fn flights_db(n: i64) -> Database {
@@ -111,5 +113,78 @@ fn bench_wal(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_entangle, bench_locks, bench_wal);
+/// The scheduler asks `is_grouped` about every ready transaction. The
+/// answer for a classical one must cost the same however many
+/// transactions — entangled or not — have come and gone before it.
+fn bench_groups(c: &mut Criterion) {
+    let mut group = c.benchmark_group("groups-is-grouped");
+    for finished in [0u64, 10_000] {
+        let gm = GroupManager::new();
+        for tx in (0..finished).step_by(2) {
+            gm.link(&[tx, tx + 1]);
+        }
+        for tx in 0..finished {
+            gm.finish(tx);
+        }
+        let mut tx = finished;
+        group.bench_with_input(BenchmarkId::new("finished", finished), &finished, |b, _| {
+            b.iter(|| {
+                tx += 1;
+                gm.is_grouped(tx)
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One committed re-keying update followed by the settle-boundary vacuum
+/// (prune + index resync). The cost must follow the one write, not the
+/// size of the table it landed in (posting lists are 4 ids long at both
+/// sizes, so list length — a separate cost — is held fixed).
+fn bench_vacuum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vacuum-after-one-write");
+    for rows in [200u64, 20_000] {
+        let keys = rows / 4;
+        let row = |n: u64| {
+            vec![
+                Value::Int((n % keys) as i64),
+                Value::Int((n * 7 % keys) as i64),
+            ]
+        };
+        let mut t = Table::new(
+            "Sched",
+            Schema::of(&[("day", ValueType::Int), ("seats", ValueType::Int)]),
+        );
+        for i in 0..rows {
+            t.insert(row(i)).unwrap();
+        }
+        t.create_named_index("by_day", &["day"], IndexKind::Btree)
+            .unwrap();
+        t.create_named_index("by_seats", &["seats"], IndexKind::Hash)
+            .unwrap();
+        let mut ts = 1u64;
+        t.seal_versions(ts);
+        group.bench_with_input(BenchmarkId::new("rows", rows), &rows, |b, _| {
+            b.iter(|| {
+                ts += 1;
+                let id = RowId(ts * 31 % rows);
+                t.update(id, row(ts)).unwrap();
+                t.install_version(id, ts, Some(row(ts)));
+                let pruned = t.prune_versions(ts);
+                t.resync_named_indexes();
+                pruned
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_entangle,
+    bench_locks,
+    bench_wal,
+    bench_groups,
+    bench_vacuum
+);
 criterion_main!(benches);

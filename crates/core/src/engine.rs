@@ -1187,6 +1187,7 @@ impl Engine {
             }
             txn.undo.clear();
             txn.status = TxnStatus::Committed;
+            self.groups.finish(txn.tx);
         }
     }
 
@@ -1266,7 +1267,10 @@ impl Engine {
     /// versions no live snapshot can reach (older than the oldest pinned
     /// snapshot — see [`SnapshotRegistry::horizon`]). The scheduler runs
     /// this at settle boundaries and [`Engine::checkpoint`] after each
-    /// image; returns the number of versions reclaimed.
+    /// image; returns the number of versions reclaimed. Per table the
+    /// cost follows what was written since the last call, not the table's
+    /// size: only chains on the prune work-list and recorded
+    /// stale-posting candidates are visited.
     pub fn vacuum(&self) -> u64 {
         let horizon = self.versions.horizon();
         let snapshot = self.catalog.snapshot();
@@ -1277,8 +1281,8 @@ impl Engine {
                 pruned += guard.prune_versions(horizon) as u64;
                 // Named-index postings are a history union (removals are
                 // deferred so snapshot probes keep seeing old versions'
-                // keys); with the horizon advanced this settles them back
-                // to exactly the reachable rows.
+                // keys); with the horizon advanced this drops every
+                // posting whose key no heap row or retained version holds.
                 guard.resync_named_indexes();
             }
         }
@@ -1328,6 +1332,7 @@ impl Engine {
             self.versions.unpin(ts);
         }
         txn.status = TxnStatus::Aborted(err);
+        self.groups.finish(txn.tx);
     }
 
     /// Write a checkpoint image per **quiescent shard** and (optionally)
@@ -1591,6 +1596,30 @@ mod tests {
                 .unwrap();
             assert_eq!(la[0].1[2], Value::str("LA"), "update undone");
         });
+    }
+
+    #[test]
+    fn reading_a_row_after_its_writer_aborted_is_not_a_dirty_read() {
+        // The shape behind the intermittent `index_phantoms` failure: a
+        // multi-statement writer deletes a row, loses a lock race on its
+        // next statement and aborts; the undo restores the row before the
+        // X lock is released, and a later transaction reads it. The
+        // recorded history must stay entangled-isolated.
+        let e = engine();
+        let mut t1 = txn(&e, "BEGIN; DELETE FROM Flights WHERE fno = 122; COMMIT;");
+        assert_eq!(e.run_until_block(&mut t1), StepOutcome::Ready);
+        e.abort(&mut t1, EngineError::GroupAbort);
+        let mut t2 = txn(
+            &e,
+            "BEGIN; SELECT dest AS @d FROM Flights WHERE fno = 122; \
+             INSERT INTO Reserve (uid, fid) VALUES (1, 122); COMMIT;",
+        );
+        assert_eq!(e.run_until_block(&mut t2), StepOutcome::Ready);
+        e.commit_group(&mut [&mut t2]);
+        assert_eq!(t2.env.get("d"), Some(&Value::str("LA")));
+        let s = e.recorder.schedule();
+        s.validate().unwrap();
+        assert!(youtopia_isolation::is_entangled_isolated(&s), "{:?}", s.ops);
     }
 
     #[test]

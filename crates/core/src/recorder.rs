@@ -29,6 +29,8 @@ struct Inner {
     ops: Vec<Op>,
     objs: HashMap<String, u32>,
     next_entangle: u32,
+    /// Position in `ops` of each in-flight transaction's first write.
+    first_write: HashMap<Tx, usize>,
 }
 
 impl Inner {
@@ -74,6 +76,8 @@ impl Recorder {
             Some(r) => Obj::row(space, r),
             None => Obj::flat(space),
         };
+        let at = g.ops.len();
+        g.first_write.entry(Tx(tx as u32)).or_insert(at);
         g.ops.push(Op::Write {
             tx: Tx(tx as u32),
             obj,
@@ -129,11 +133,53 @@ impl Recorder {
     }
 
     pub fn commit(&self, tx: u64) {
-        self.inner.lock().ops.push(Op::Commit { tx: Tx(tx as u32) });
+        let mut g = self.inner.lock();
+        g.first_write.remove(&Tx(tx as u32));
+        g.ops.push(Op::Commit { tx: Tx(tx as u32) });
     }
 
+    /// Record `tx`'s abort; the engine calls this after undoing `tx`'s
+    /// writes in place and before releasing its locks.
+    ///
+    /// The abstract schedules have no undo: there, an aborted write stays
+    /// in the database, and any committed transaction that later reads
+    /// the object has read from an aborted transaction (Requirement C.3).
+    /// The engine does undo, so a write nobody else touched before the
+    /// abort restored its before-image was never observable — all that
+    /// is left of it is that `tx` accessed the object, and it is recorded
+    /// as that: a read. Writes that another transaction *did* read or
+    /// overwrite before the abort stay writes, so a dirty read that slips
+    /// past the lock protocol is still flagged.
     pub fn abort(&self, tx: u64) {
-        self.inner.lock().ops.push(Op::Abort { tx: Tx(tx as u32) });
+        let mut g = self.inner.lock();
+        let tx = Tx(tx as u32);
+        if let Some(start) = g.first_write.remove(&tx) {
+            let mut written: Vec<Obj> = Vec::new();
+            let mut observed = false;
+            for op in &g.ops[start..] {
+                match op {
+                    Op::Write { tx: w, obj } if *w == tx => written.push(*obj),
+                    // Snapshot reads see committed versions only.
+                    Op::SnapshotRead { .. } => {}
+                    _ => {
+                        observed |= op.tx() != Some(tx)
+                            && op
+                                .obj()
+                                .is_some_and(|o| written.iter().any(|w| w.overlaps(&o)));
+                    }
+                }
+            }
+            if !observed {
+                for op in &mut g.ops[start..] {
+                    if let Op::Write { tx: w, obj } = *op {
+                        if w == tx {
+                            *op = Op::Read { tx, obj };
+                        }
+                    }
+                }
+            }
+        }
+        g.ops.push(Op::Abort { tx });
     }
 
     /// Snapshot the recorded schedule (raw; expand quasi-reads before
@@ -155,6 +201,7 @@ impl Recorder {
         g.ops.clear();
         g.objs.clear();
         g.next_entangle = 0;
+        g.first_write.clear();
     }
 }
 
@@ -187,6 +234,35 @@ mod tests {
         r.commit(1);
         r.abort(2);
         assert!(!is_entangled_isolated(&r.schedule()));
+    }
+
+    #[test]
+    fn undone_writes_are_not_read_from_but_dirty_reads_still_are() {
+        // T1 writes a row, aborts (the engine undoes the write under its
+        // X lock), and only then T2 reads the row and commits: T2 saw the
+        // restored before-image, not T1's write.
+        let r = Recorder::new();
+        r.write(1, "Acct", Some(7));
+        r.abort(1);
+        r.read_row(2, "Acct", 7);
+        r.commit(2);
+        let s = r.schedule();
+        s.validate().unwrap();
+        assert!(is_entangled_isolated(&s), "{:?}", s.ops);
+        // The same read *before* the abort is a dirty read and must stay
+        // one — whole-table reads included.
+        for table_read in [false, true] {
+            let r = Recorder::new();
+            r.write(1, "Acct", Some(7));
+            if table_read {
+                r.read(2, "Acct");
+            } else {
+                r.read_row(2, "Acct", 7);
+            }
+            r.abort(1);
+            r.commit(2);
+            assert!(!is_entangled_isolated(&r.schedule()));
+        }
     }
 
     #[test]

@@ -700,14 +700,22 @@ impl Scheduler {
 
     /// Run until the pool drains or no further progress is possible;
     /// transactions still pooled after two consecutive zero-progress runs
-    /// fail with [`EngineError::TimedOut`].
+    /// fail with [`EngineError::TimedOut`]. A run that ended in transient
+    /// lock aborts (timeouts, deadlock victims) is not zero-progress: its
+    /// transactions retry, bounded by `max_attempts` and their deadlines.
+    /// Only a run in which nothing committed, failed, left the pool *or*
+    /// lost a lock race counts — everything left is waiting for a partner
+    /// that is not coming.
     pub fn drain(&mut self) -> Stats {
         let mut zero_progress = 0;
         while !self.dormant.is_empty() {
             let before_pool = self.dormant.len();
             let report = self.run_once();
-            let progressed =
-                report.committed > 0 || report.failed > 0 || self.dormant.len() < before_pool;
+            let lock_aborts = report.timeouts + report.deadlocks + report.deadlock_victims;
+            let progressed = report.committed > 0
+                || report.failed > 0
+                || self.dormant.len() < before_pool
+                || lock_aborts > 0;
             if progressed {
                 zero_progress = 0;
             } else {
@@ -757,6 +765,7 @@ fn disjoint_muts<'a, T>(slice: &'a mut [T], indices: &[usize]) -> Vec<&'a mut T>
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, IsolationMode};
+    use std::time::Duration;
     use youtopia_isolation::is_entangled_isolated;
     use youtopia_storage::Value;
 
@@ -1076,6 +1085,96 @@ mod tests {
             results[0].status,
             TxnStatus::Failed(EngineError::TimedOut)
         ));
+    }
+
+    #[test]
+    fn drain_retries_through_runs_that_end_in_lock_aborts() {
+        // An outside transaction holds X on the row every pooled client
+        // updates, so whole runs end with every client timed out and
+        // nothing committed. That is contention, not "no further progress
+        // is possible": drain must keep retrying, and everyone commits
+        // once the holder lets go — which happens only after two such
+        // runs have completed (4 timeouts), exactly where drain used to
+        // give up and fail the pool.
+        let e = Arc::new(Engine::new(EngineConfig {
+            lock_timeout: Duration::from_millis(10),
+            ..EngineConfig::default()
+        }));
+        e.setup("CREATE TABLE T (a INT); INSERT INTO T VALUES (0);")
+            .unwrap();
+        let mut holder = Txn::new(
+            ClientId(u64::MAX),
+            e.alloc_tx(),
+            Program::parse("BEGIN; UPDATE T SET a = a + 100; COMMIT;").unwrap(),
+        );
+        e.begin(&mut holder);
+        e.run_until_block(&mut holder);
+        assert_eq!(holder.status, TxnStatus::ReadyToCommit);
+
+        let mut s = Scheduler::new(e.clone(), SchedulerConfig::default());
+        for _ in 0..2 {
+            s.submit(Program::parse("BEGIN; UPDATE T SET a = a + 1; COMMIT;").unwrap());
+        }
+        let drained = std::sync::atomic::AtomicBool::new(false);
+        let stats = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while e.timeouts() < 4 && !drained.load(std::sync::atomic::Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                e.commit_group(&mut [&mut holder]);
+            });
+            let stats = s.drain();
+            drained.store(true, std::sync::atomic::Ordering::SeqCst);
+            stats
+        });
+        assert!(e.timeouts() >= 4, "two whole runs ended in lock aborts");
+        assert_eq!(stats.failed, 0, "{stats:?}");
+        assert_eq!(stats.committed, 2, "{stats:?}");
+        e.with_db(|db| assert_eq!(db.canonical_rows("T").unwrap(), vec![vec![Value::Int(102)]]));
+    }
+
+    #[test]
+    fn drained_mixed_pool_leaves_no_group_entries() {
+        // Entangled pairs, a widowed pair (Minnie rolls back after
+        // entangling, Mickey group-aborts and finally times out) and
+        // classical transactions: once the pool has drained, every group
+        // has retired and the classical ones never made an entry.
+        let e = engine();
+        let mut s = Scheduler::new(
+            e.clone(),
+            SchedulerConfig {
+                connections: 2,
+                ..Default::default()
+            },
+        );
+        for i in 0..10 {
+            let (a, b) = (format!("a{i}"), format!("b{i}"));
+            let pair = if i % 2 == 0 { flight_txn } else { travel_txn };
+            s.submit(pair(&a, &b));
+            s.submit(pair(&b, &a));
+            s.submit(
+                Program::parse(&format!(
+                    "BEGIN; INSERT INTO Reserve (uid, fid) VALUES ('c{i}', 122); COMMIT;"
+                ))
+                .unwrap(),
+            );
+        }
+        s.submit(flight_txn("Mickey", "Minnie"));
+        s.submit(
+            Program::parse(
+                "BEGIN WITH TIMEOUT 10 SECONDS; \
+                 SELECT 'Minnie', fno INTO ANSWER FlightRes \
+                 WHERE fno IN (SELECT fno FROM Flights WHERE dest='LA') \
+                 AND ('Mickey', fno) IN ANSWER FlightRes CHOOSE 1; \
+                 ROLLBACK; COMMIT;",
+            )
+            .unwrap(),
+        );
+        let stats = s.drain();
+        assert_eq!(stats.committed, 30, "{stats:?}");
+        assert_eq!(stats.failed, 2, "{stats:?}");
+        assert!(stats.group_commits >= 10 && stats.group_aborts >= 1);
+        assert_eq!(e.groups.tracked(), 0, "every group retired");
     }
 
     #[test]

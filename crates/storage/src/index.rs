@@ -120,9 +120,9 @@ impl Index {
         }
     }
 
-    /// Row ids whose index key equals `key` (unordered; may include ids the
-    /// caller must still check for liveness/visibility and key match —
-    /// postings are a superset of the live heap between vacuums).
+    /// Row ids whose index key equals `key`, in row-id order (may include
+    /// ids the caller must still check for liveness/visibility and key
+    /// match — postings are a superset of the live heap between vacuums).
     pub fn probe(&self, key: &Value) -> &[RowId] {
         match &self.data {
             IndexData::Hash(m) => m.get(key).map(Vec::as_slice).unwrap_or(&[]),
@@ -283,22 +283,49 @@ impl Index {
             IndexData::Hash(m) => m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             IndexData::Btree(m) => m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         };
-        for (_, ids) in &mut out {
-            ids.sort_unstable();
-        }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
+    /// Whether rows `a` and `b` post under the same key in this index.
+    fn same_key(&self, a: &Row, b: &Row) -> bool {
+        self.columns.iter().all(|&c| a[c] == b[c])
+    }
+
+    /// Post `id` under `key`. Each posting list stays sorted by row id, so
+    /// an index maintained incrementally is identical to a rebuilt one
+    /// and re-posting a row (a version install after the heap mutation
+    /// already posted it) is a no-op found by binary search.
     fn insert(&mut self, id: RowId, key: Value) {
         let ids = match &mut self.data {
             IndexData::Hash(m) => m.entry(key).or_default(),
             IndexData::Btree(m) => m.entry(key).or_default(),
         };
-        // Dedup: a row re-covered by vacuum resync or by a version install
-        // after the heap mutation already posted it must appear once.
-        if !ids.contains(&id) {
-            ids.push(id);
+        if let Err(pos) = ids.binary_search(&id) {
+            ids.insert(pos, id);
+        }
+    }
+
+    /// Drop `id`'s posting under `key` (and the key itself once its list
+    /// is empty); a no-op when no such posting exists.
+    fn remove(&mut self, id: RowId, key: &Value) {
+        fn take(ids: &mut Vec<RowId>, id: RowId) -> bool {
+            if let Ok(pos) = ids.binary_search(&id) {
+                ids.remove(pos);
+            }
+            ids.is_empty()
+        }
+        match &mut self.data {
+            IndexData::Hash(m) => {
+                if m.get_mut(key).is_some_and(|ids| take(ids, id)) {
+                    m.remove(key);
+                }
+            }
+            IndexData::Btree(m) => {
+                if m.get_mut(key).is_some_and(|ids| take(ids, id)) {
+                    m.remove(key);
+                }
+            }
         }
     }
 
@@ -412,13 +439,30 @@ impl IndexSet {
     pub(crate) fn post_update(&mut self, id: RowId, old: &Row, new: &Row) -> bool {
         let mut changed = false;
         for ix in &mut self.indexes {
-            let new_key = ix.key_of(new);
-            if ix.key_of(old) != new_key {
-                ix.insert(id, new_key);
+            if !ix.same_key(old, new) {
+                ix.insert(id, ix.key_of(new));
                 changed = true;
             }
         }
         changed
+    }
+
+    /// Vacuum's stale-candidate rule: `old` is a superseded value of row
+    /// `id`; drop its posting from every index in which none of `holders`
+    /// — the row's current heap value and its retained versions — still
+    /// carries `old`'s key.
+    pub(crate) fn remove_stale<'a>(
+        &mut self,
+        id: RowId,
+        old: &Row,
+        holders: impl Iterator<Item = &'a Row> + Clone,
+    ) {
+        for ix in &mut self.indexes {
+            if !holders.clone().any(|held| ix.same_key(old, held)) {
+                let key = ix.key_of(old);
+                ix.remove(id, &key);
+            }
+        }
     }
 
     pub(crate) fn clear(&mut self) {
@@ -428,8 +472,8 @@ impl IndexSet {
     }
 
     /// Rebuild every index's contents from the given rows (recovery,
-    /// vacuum resync). Callers feeding both live rows and retained version
-    /// rows get the history-union postings snapshot reads probe.
+    /// index creation). Callers feeding both live rows and retained
+    /// version rows get the history-union postings snapshot reads probe.
     pub(crate) fn rebuild<'a>(&mut self, rows: impl Iterator<Item = (RowId, &'a Row)>) {
         self.clear();
         for (id, row) in rows {
@@ -456,22 +500,6 @@ mod tests {
         s
     }
 
-    fn remove_row(s: &mut IndexSet, id: RowId, row: &Row) {
-        // Posting removal is vacuum's job now; tests emulate it by
-        // rebuilding from the surviving rows.
-        let survivors: Vec<(RowId, Row)> = s
-            .get("b")
-            .unwrap()
-            .entries()
-            .into_iter()
-            .flat_map(|(k, ids)| ids.into_iter().map(move |i| (i, vec![k.clone()])))
-            .filter(|(i, _)| *i != id)
-            .map(|(i, k)| (i, vec![k[0].clone(), Value::str("x")]))
-            .collect();
-        let _ = row;
-        s.rebuild(survivors.iter().map(|(i, r)| (*i, r)));
-    }
-
     #[test]
     fn create_is_idempotent_and_conflicts_error() {
         let mut s = set();
@@ -496,8 +524,17 @@ mod tests {
         assert_eq!(h.probe(&Value::Int(5)), &[RowId(0), RowId(1)]);
         assert_eq!(h.probe(&Value::Int(9)), &[RowId(2)]);
         assert_eq!(h.probe(&Value::Int(7)), &[] as &[RowId]);
-        remove_row(&mut s, RowId(0), &row(5));
+        // Still held by some version of the row: the posting stays.
+        s.remove_stale(RowId(0), &row(5), [&row(5)].into_iter());
+        assert_eq!(s.get("b").unwrap().probe(&Value::Int(5)).len(), 2);
+        // Held only under another key: it goes, from every index.
+        s.remove_stale(RowId(0), &row(5), [&row(6)].into_iter());
         assert_eq!(s.get("b").unwrap().probe(&Value::Int(5)), &[RowId(1)]);
+        assert_eq!(s.get("h").unwrap().probe(&Value::Int(5)), &[RowId(1)]);
+        // The last posting takes its key along.
+        s.remove_stale(RowId(2), &row(9), std::iter::empty());
+        assert_eq!(s.get("b").unwrap().key_count(), 1);
+        assert_eq!(s.get("b").unwrap().successor(&Value::Int(5)), Some(None));
     }
 
     #[test]

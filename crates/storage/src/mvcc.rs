@@ -115,15 +115,16 @@ impl VersionChain {
     /// A chain keeps **one** version per commit timestamp: when a
     /// transaction touches the same row several times (insert → update →
     /// delete), later installs at the same `ts` replace the earlier ones —
-    /// only the transaction's final state is a committed version.
-    pub fn install(&mut self, ts: CommitTs, row: Option<Row>) {
+    /// only the transaction's final state is a committed version. Returns
+    /// the row value such a replacement displaced, if any.
+    pub fn install(&mut self, ts: CommitTs, row: Option<Row>) -> Option<Row> {
         if let Some(last) = self.versions.last_mut() {
             if last.ts == ts {
-                last.row = row;
-                return;
+                return std::mem::replace(&mut last.row, row);
             }
         }
         self.versions.push(Version { ts, row });
+        None
     }
 
     /// The row value visible to a snapshot pinned at `ts`: the newest
@@ -143,6 +144,16 @@ impl VersionChain {
     /// dropped (the row is dead for every reachable snapshot). Returns the
     /// number of versions reclaimed.
     pub fn prune(&mut self, horizon: CommitTs) -> usize {
+        self.prune_with(horizon, drop)
+    }
+
+    /// [`VersionChain::prune`], handing every reclaimed row value to
+    /// `reclaimed` (vacuum checks their index postings for staleness).
+    pub(crate) fn prune_with(
+        &mut self,
+        horizon: CommitTs,
+        mut reclaimed: impl FnMut(Row),
+    ) -> usize {
         let newest_at_horizon = self
             .versions
             .iter()
@@ -153,15 +164,34 @@ impl VersionChain {
             return 0;
         };
         let before = self.versions.len();
-        self.versions
-            .retain(|v| v.ts > keep || (v.ts == keep && v.row.is_some()));
+        self.versions.retain_mut(|v| {
+            let retained = v.ts > keep || (v.ts == keep && v.row.is_some());
+            if !retained {
+                if let Some(row) = v.row.take() {
+                    reclaimed(row);
+                }
+            }
+            retained
+        });
         before - self.versions.len()
+    }
+
+    /// Whether some future horizon could reclaim anything from this
+    /// chain: a superseded version, or a lone tombstone. A chain holding
+    /// at most one live value is at its fixpoint — [`VersionChain::prune`]
+    /// returns 0 for it at every horizon.
+    pub fn reclaimable(&self) -> bool {
+        match self.versions.as_slice() {
+            [] => false,
+            [only] => only.row.is_none(),
+            _ => true,
+        }
     }
 
     /// Iterate the non-tombstone row values of every retained version —
     /// the keys vacuum must keep posted in the named indexes so snapshot
     /// readers can probe for rows whose working state has moved on.
-    pub fn version_rows(&self) -> impl Iterator<Item = &Row> + '_ {
+    pub fn version_rows(&self) -> impl Iterator<Item = &Row> + Clone + '_ {
         self.versions.iter().filter_map(|v| v.row.as_ref())
     }
 

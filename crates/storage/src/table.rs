@@ -82,12 +82,22 @@ pub struct Table {
     /// working state has moved on; every probe consumer re-checks
     /// liveness/visibility and the key predicate.
     named: IndexSet,
-    /// Set when a named posting may have gone stale (delete, re-keying
-    /// update, version prune); cleared by [`Table::resync_named_indexes`].
-    postings_dirty: bool,
+    /// Stale-posting candidates: `(row id, superseded value)` for every
+    /// value a row stopped holding since the last resync — a delete, a
+    /// re-keying update, an `insert_at` overwrite, a pruned or displaced
+    /// version. Every posting that is neither in the heap nor in a
+    /// retained version is covered by a candidate here, which is what lets
+    /// [`Table::resync_named_indexes`] visit only these instead of
+    /// rebuilding. Empty while the table has no named index.
+    stale_postings: Vec<(RowId, Row)>,
     /// Committed version history per slot (grown lazily; a slot with no
     /// chain has no committed versions yet). Index = RowId.
     chains: Vec<VersionChain>,
+    /// Vacuum's work-list: exactly the slots whose chain is
+    /// [`VersionChain::reclaimable`]. A chain off the list holds at most
+    /// one live value, which no future horizon can reclaim, so
+    /// [`Table::prune_versions`] never needs to look at it.
+    prune_list: Vec<RowId>,
     /// Bumped on every committed-history mutation (install / seal /
     /// prune / truncate). Two calls to [`Table::snapshot_at`] with the
     /// same epoch and non-decreasing timestamps see identical data, which
@@ -105,8 +115,9 @@ impl Table {
             live: 0,
             indexes: Vec::new(),
             named: IndexSet::default(),
-            postings_dirty: false,
+            stale_postings: Vec::new(),
             chains: Vec::new(),
+            prune_list: Vec::new(),
             version_epoch: 0,
         }
     }
@@ -195,9 +206,13 @@ impl Table {
 
     /// Rebuild every named index's contents from scratch: the live heap
     /// plus every retained committed version — the history-union postings
-    /// snapshot readers probe (recovery, index creation, vacuum; normal
-    /// execution maintains incrementally).
+    /// snapshot readers probe (recovery, index creation; normal execution
+    /// and vacuum maintain incrementally).
     pub fn rebuild_named_indexes(&mut self) {
+        self.stale_postings.clear();
+        if self.named.is_empty() {
+            return;
+        }
         let slots = &self.slots;
         self.named.rebuild(
             slots
@@ -210,19 +225,37 @@ impl Table {
                 self.named.insert_row(RowId(i as u64), row);
             }
         }
-        self.postings_dirty = false;
     }
 
-    /// Reclaim stale named-index postings if any mutation since the last
-    /// resync may have produced one. Called by vacuum, after version
+    /// Reclaim stale named-index postings. Called by vacuum, after version
     /// pruning, so postings converge back to exactly the heap ∪ retained
-    /// history. Returns whether a rebuild ran.
+    /// history — at a cost proportional to the mutations since the last
+    /// call, not to the table: each recorded candidate's posting is
+    /// removed from an index iff neither the row's heap value nor any
+    /// retained version of it still carries that key. Returns whether
+    /// there was any candidate to check.
     pub fn resync_named_indexes(&mut self) -> bool {
-        if !self.postings_dirty || self.named.is_empty() {
-            return false;
+        let any = !self.stale_postings.is_empty();
+        for (id, old) in self.stale_postings.drain(..) {
+            let idx = id.0 as usize;
+            let heap = self.slots.get(idx).and_then(Option::as_ref);
+            let versions = self
+                .chains
+                .get(idx)
+                .into_iter()
+                .flat_map(|c| c.version_rows());
+            self.named
+                .remove_stale(id, &old, heap.into_iter().chain(versions));
         }
-        self.rebuild_named_indexes();
-        true
+        any
+    }
+
+    /// Note that row `id` stopped holding `old`: its postings are stale
+    /// unless a retained version still carries their keys.
+    fn note_stale(&mut self, id: RowId, old: &Row) {
+        if !self.named.is_empty() {
+            self.stale_postings.push((id, old.clone()));
+        }
     }
 
     /// Insert a row, returning its new stable id.
@@ -254,7 +287,7 @@ impl Table {
                 ix.remove(id, &old);
             }
             // Named postings for the old contents linger (vacuum's job).
-            self.postings_dirty = !self.named.is_empty();
+            self.note_stale(id, &old);
         }
         for ix in &mut self.indexes {
             ix.insert(id, &row);
@@ -280,9 +313,7 @@ impl Table {
         // The named posting stays: a snapshot reader pinned before this
         // delete commits must still find the row by probing. Vacuum
         // reclaims it once no retained version needs it.
-        if !self.named.is_empty() {
-            self.postings_dirty = true;
-        }
+        self.note_stale(id, &old);
         self.live -= 1;
         Some(old)
     }
@@ -306,7 +337,7 @@ impl Table {
         // Post the new key; the old key's posting stays for snapshot
         // readers until vacuum reclaims it.
         if self.named.post_update(id, &old, &new_clone) {
-            self.postings_dirty = true;
+            self.note_stale(id, &old);
         }
         Ok(Some(old))
     }
@@ -382,8 +413,9 @@ impl Table {
             ix.map.clear();
         }
         self.named.clear();
-        self.postings_dirty = false;
+        self.stale_postings.clear();
         self.chains.clear();
+        self.prune_list.clear();
         self.version_epoch += 1;
     }
 
@@ -403,7 +435,21 @@ impl Table {
         if idx >= self.chains.len() {
             self.chains.resize_with(idx + 1, VersionChain::default);
         }
-        self.chains[idx].install(ts, row);
+        // Normally a no-op (the heap mutation posted this value already);
+        // it makes "postings ⊇ heap ∪ retained versions" hold by
+        // construction rather than by the caller's discipline.
+        if let Some(row) = &row {
+            self.named.insert_row(id, row);
+        }
+        let chain = &mut self.chains[idx];
+        let listed = chain.reclaimable();
+        let displaced = chain.install(ts, row);
+        if !listed && chain.reclaimable() {
+            self.prune_list.push(id);
+        }
+        if let Some(old) = displaced {
+            self.note_stale(id, &old);
+        }
         self.version_epoch += 1;
     }
 
@@ -449,6 +495,7 @@ impl Table {
     /// bootstrap (the setup script's commit) and after recovery, where the
     /// loaded state carries only the latest committed rows.
     pub fn seal_versions(&mut self, ts: CommitTs) {
+        let had_history = self.chains.iter().any(|c| !c.is_empty());
         self.chains.clear();
         self.chains
             .resize_with(self.slots.len(), VersionChain::default);
@@ -457,19 +504,37 @@ impl Table {
                 self.chains[i].install(ts, Some(row.clone()));
             }
         }
+        // One live version per chain: nothing left for vacuum to prune.
+        self.prune_list.clear();
+        // Discarded history drops postings' last holders without naming
+        // them; settle the indexes to the sealed state in one pass.
+        if had_history || !self.stale_postings.is_empty() {
+            self.rebuild_named_indexes();
+        }
         self.version_epoch += 1;
     }
 
     /// Prune versions unreachable from any snapshot at or after `horizon`
     /// (see [`VersionChain::prune`]); returns how many were reclaimed.
+    /// Visits only the chains on the work-list — those with a superseded
+    /// version or a lone tombstone — and keeps a chain listed while a
+    /// later horizon could still reclaim something from it.
     pub fn prune_versions(&mut self, horizon: CommitTs) -> usize {
-        let pruned = self.chains.iter_mut().map(|c| c.prune(horizon)).sum();
+        let track = !self.named.is_empty();
+        let (chains, stale) = (&mut self.chains, &mut self.stale_postings);
+        let mut pruned = 0;
+        self.prune_list.retain(|&id| {
+            let chain = &mut chains[id.0 as usize];
+            pruned += chain.prune_with(horizon, |row| {
+                // A pruned version may have been a posting's last holder.
+                if track {
+                    stale.push((id, row));
+                }
+            });
+            chain.reclaimable()
+        });
         if pruned > 0 {
             self.version_epoch += 1;
-            // Pruned versions may leave orphaned history-union postings.
-            if !self.named.is_empty() {
-                self.postings_dirty = true;
-            }
         }
         pruned
     }
@@ -716,6 +781,94 @@ mod tests {
         // Horizon catches up: ts-2 goes too.
         assert_eq!(t.prune_versions(3), 1);
         assert_eq!(t.snapshot_at(3).get(RowId(0)).unwrap()[2], Value::str("B"));
+    }
+
+    #[test]
+    fn prune_work_list_holds_exactly_the_reclaimable_chains() {
+        let la = |n: i64| vec![Value::Int(n), Value::Date(1), Value::str("LA")];
+        let mut t = flights_table();
+        t.seal_versions(1);
+        assert!(t.prune_list.is_empty(), "one live version per row");
+        // A fresh row's first version supersedes nothing.
+        let id = t.insert(la(900)).unwrap();
+        t.install_version(id, 2, Some(la(900)));
+        assert!(t.prune_list.is_empty());
+        // Two commits on row 0: listed once.
+        t.install_version(RowId(0), 3, Some(la(1)));
+        t.install_version(RowId(0), 4, Some(la(2)));
+        assert_eq!(t.prune_list, vec![RowId(0)]);
+        // A snapshot pinned at 3 holds the horizon back: ts 1 goes, ts 3
+        // must stay, and the chain stays listed for a later vacuum.
+        assert_eq!(t.prune_versions(3), 1);
+        assert_eq!(t.prune_list, vec![RowId(0)]);
+        let epoch = t.version_epoch();
+        assert_eq!(t.prune_versions(3), 0);
+        assert_eq!(t.version_epoch(), epoch, "nothing pruned, same epoch");
+        assert_eq!(t.prune_versions(4), 1);
+        assert!(t.prune_list.is_empty(), "down to one live version");
+        // Insert + delete inside one commit leaves a lone tombstone; it is
+        // reclaimed once the horizon passes it.
+        let gone = t.insert(la(901)).unwrap();
+        t.install_version(gone, 5, Some(la(901)));
+        t.delete(gone).unwrap();
+        t.install_version(gone, 5, None);
+        assert_eq!(t.prune_list, vec![gone]);
+        assert_eq!(t.prune_versions(4), 0);
+        assert_eq!(t.prune_list, vec![gone]);
+        assert_eq!(t.prune_versions(5), 1);
+        assert!(t.prune_list.is_empty());
+        assert_eq!(t.prune_versions(u64::MAX), 0);
+    }
+
+    #[test]
+    fn resync_drops_a_posting_only_when_nothing_holds_its_key() {
+        let mut t = flights_table();
+        t.create_named_index("by_dest", &["dest"], IndexKind::Btree)
+            .unwrap();
+        t.seal_versions(1);
+        let paris = Value::str("Paris");
+        let probe =
+            |t: &Table, v: &Value| t.named_indexes().get("by_dest").unwrap().probe(v).to_vec();
+        // Row 3 (Paris) moves to LA and commits at ts 2.
+        let moved = vec![Value::Int(235), Value::Date(102), Value::str("LA")];
+        t.update(RowId(3), moved.clone()).unwrap();
+        t.install_version(RowId(3), 2, Some(moved));
+        // A snapshot pinned at 1 still needs to find it under Paris.
+        t.prune_versions(1);
+        assert!(t.resync_named_indexes());
+        assert_eq!(
+            probe(&t, &paris),
+            vec![RowId(3)],
+            "held by the ts-1 version"
+        );
+        // Once that version is pruned, so is the posting.
+        assert_eq!(t.prune_versions(2), 1);
+        assert!(t.resync_named_indexes());
+        assert!(probe(&t, &paris).is_empty());
+        assert_eq!(probe(&t, &Value::str("LA")).len(), 4);
+        assert!(!t.resync_named_indexes(), "nothing changed since");
+    }
+
+    #[test]
+    fn seal_and_truncate_leave_empty_work_lists() {
+        let mut t = flights_table();
+        t.create_named_index("by_dest", &["dest"], IndexKind::Hash)
+            .unwrap();
+        t.seal_versions(1);
+        t.delete(RowId(3)).unwrap();
+        t.install_version(RowId(3), 2, None);
+        assert!(!t.prune_list.is_empty() && !t.stale_postings.is_empty());
+        t.seal_versions(3);
+        assert!(t.prune_list.is_empty() && t.stale_postings.is_empty());
+        let ix = t.named_indexes().get("by_dest").unwrap();
+        assert!(
+            ix.probe(&Value::str("Paris")).is_empty(),
+            "settled by the seal"
+        );
+        t.delete(RowId(0)).unwrap();
+        t.install_version(RowId(0), 4, None);
+        t.truncate();
+        assert!(t.prune_list.is_empty() && t.stale_postings.is_empty());
     }
 
     #[test]
