@@ -212,7 +212,7 @@ impl ProtocolAuditor {
     }
 
     /// Total audit events processed (lock events + latch + range
-    /// checks) — surfaced as `RunReport::audit_events`.
+    /// checks) — surfaced as `Engine::audit_events`.
     pub fn events_seen(&self) -> u64 {
         self.events_seen.load(Ordering::Relaxed)
     }
@@ -368,9 +368,7 @@ impl ProtocolAuditor {
         let cycles = Self::cycles_in(&st);
         st.detections
             .iter()
-            .filter(|d| {
-                !cycles.iter().any(|c| c.resources.contains(&d.requested))
-            })
+            .filter(|d| !cycles.iter().any(|c| c.resources.contains(&d.requested)))
             .cloned()
             .collect()
     }

@@ -2,72 +2,15 @@
 //! ablations as text tables.
 //!
 //! ```text
-//! repro [fig6a|fig6b|fig6c|ablations|scaling|durability|recovery|readscale|pointmix|rangemix|sharding|hotcycle|auditgraph|all] [--full]
+//! repro [fig6a|fig6b|fig6c|ablations|all] [--full]
 //! ```
-//!
-//! `scaling` measures committed-txns/sec on the transactional Fig. 6(a)
-//! mixes at connections ∈ {1, 2, 4, 8} and writes the machine-readable
-//! baseline to `BENCH_scaling.json` (tracked as a CI artifact).
-//!
-//! `durability` measures the group-commit WAL pipeline on the same mixes:
-//! committed-txns/sec and syncs-per-commit with the sync batching on and
-//! off, written to `BENCH_durability.json` (also a CI artifact).
-//!
-//! `recovery` measures crash-restart cost: durable log length and
-//! recovery wall time vs. transaction count, with checkpointing (and WAL
-//! truncation) on vs off, written to `BENCH_recovery.json` (also a CI
-//! artifact). With checkpoints both stay O(delta since the last image);
-//! without them both grow O(history).
-//!
-//! `readscale` measures the multi-version snapshot read path on a
-//! read-mostly mix (80% pure-SELECT transactions): committed-txns/sec
-//! with snapshot reads on vs the S-lock-reads ablation, written to
-//! `BENCH_readscale.json` (also a CI artifact). The acceptance target is
-//! snapshot-on ≥ 1.5× snapshot-off at 8 connections.
-//!
-//! `pointmix` measures the named secondary indexes on a point-access mix
-//! (80% single-row UPDATE+confirm writers): committed-txns/sec and
-//! rows-scanned-per-statement with the indexes installed vs the no-index
-//! scan ablation, written to `BENCH_index.json` (also a CI artifact). The
-//! acceptance target is indexed ≥ 3× no-index at 8 connections with
-//! rows-scanned per point statement dropping from O(table) to O(1).
-//!
-//! `rangemix` measures the btree range plans on a range-heavy mix (70%
-//! date-window dashboards): committed-txns/sec and access-path counters
-//! with the btree indexes installed vs the forced-scan ablation, written
-//! to `BENCH_range.json` (also a CI artifact). The acceptance target is
-//! indexed ≥ 3× forced-scan at 8 connections, with snapshot windows
-//! served by live-index probes (zero per-snapshot index rebuilds).
-//!
-//! `sharding` measures the per-shard commit pipelines on the shard-local
-//! vs 50%-cross-shard mixes at shards ∈ {1, 2, 4} and connections
-//! ∈ {1, 2, 4, 8, 16}, written to `BENCH_sharding.json` (also a CI
-//! artifact). The acceptance target is 4-shard shard-local throughput
-//! ≥ 1.5× single-shard at 8 connections (parity at 1 connection), with
-//! the cross-shard two-phase commit tax measured alongside.
-//!
-//! `hotcycle` measures global cross-shard deadlock detection on a
-//! deadlock-prone hot-row mix (opposite-order two-shard pairs) at 4
-//! shards and 8 connections: the edge-chasing probe overlay vs the
-//! timeout-only ablation, written to `BENCH_deadlock.json` (also a CI
-//! artifact). The acceptance targets are zero timeouts on the detect arm
-//! (every cycle dies by explicit victim conviction) and detect
-//! committed-txns/sec ≥ 2× the ablation.
 //!
 //! `--full` uses a larger transaction count per point (slower, smoother
 //! curves). Output mirrors the paper's series: x-value then one column per
 //! curve, in seconds.
 
 use std::io::Write;
-use youtopia_bench::{
-    durability_json, hotcycle_json, pointmix_json, pointmix_speedup, rangemix_json,
-    rangemix_speedup, readscale_json, readscale_speedup, recovery_json, run_ablated,
-    run_audit_graph, run_durability_series, run_fig6a, run_fig6b, run_fig6c, run_hotcycle,
-    run_pointmix_series, run_rangemix_series, run_readscale_series, run_recovery_series,
-    run_scaling_series, run_sharding_series, scaling_json, scaling_speedup, sharding_cross_tax,
-    sharding_json, sharding_local_speedup, Ablation, Scale, HOTCYCLE_CONNECTIONS, HOTCYCLE_SHARDS,
-    POINTMIX_WRITE_PCT, RANGEMIX_WRITE_PCT, READSCALE_WRITE_PCT, SHARDING_CROSS_PCT,
-};
+use youtopia_bench::{run_ablated, run_fig6a, run_fig6b, run_fig6c, Ablation, Scale};
 use youtopia_workload::{Family, Structure, WorkloadMode};
 
 fn main() {
@@ -87,34 +30,14 @@ fn main() {
         "fig6b" => fig6b(&mut out, &scale),
         "fig6c" => fig6c(&mut out, &scale),
         "ablations" => ablations(&mut out, &scale),
-        "scaling" => scaling(&mut out, &scale),
-        "durability" => durability(&mut out, &scale),
-        "recovery" => recovery(&mut out, &scale),
-        "readscale" => readscale(&mut out, &scale),
-        "pointmix" => pointmix(&mut out, &scale),
-        "rangemix" => rangemix(&mut out, &scale),
-        "sharding" => sharding(&mut out, &scale),
-        "hotcycle" => hotcycle(&mut out, &scale),
-        "auditgraph" => auditgraph(&mut out, &scale),
         "all" => {
             fig6a(&mut out, &scale);
             fig6b(&mut out, &scale);
             fig6c(&mut out, &scale);
             ablations(&mut out, &scale);
-            scaling(&mut out, &scale);
-            durability(&mut out, &scale);
-            recovery(&mut out, &scale);
-            readscale(&mut out, &scale);
-            pointmix(&mut out, &scale);
-            rangemix(&mut out, &scale);
-            sharding(&mut out, &scale);
-            hotcycle(&mut out, &scale);
-            auditgraph(&mut out, &scale);
         }
         other => {
-            eprintln!(
-                "unknown experiment `{other}`; expected fig6a|fig6b|fig6c|ablations|scaling|durability|recovery|readscale|pointmix|rangemix|sharding|hotcycle|auditgraph|all"
-            );
+            eprintln!("unknown experiment `{other}`; expected fig6a|fig6b|fig6c|ablations|all");
             std::process::exit(2);
         }
     }
@@ -220,396 +143,6 @@ fn fig6c(out: &mut impl Write, scale: &Scale) {
     writeln!(out).unwrap();
 }
 
-/// Recovery: crash-restart cost (durable log length + recovery wall time)
-/// vs. transaction count, checkpointing on vs off, plus the
-/// `BENCH_recovery.json` CI baseline.
-fn recovery(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Recovery — checkpointed restart vs full replay").unwrap();
-    writeln!(
-        out,
-        "# crash after N transactions; columns: retained log KiB | recovery us | records replayed"
-    )
-    .unwrap();
-    let series = run_recovery_series(scale);
-    write!(out, "{:>8}", "txns").unwrap();
-    for s in &series {
-        write!(out, " {:>30}", s.label).unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>8}", series[0].points[i].txns).unwrap();
-        for s in &series {
-            let p = &s.points[i];
-            write!(
-                out,
-                " {:>30}",
-                format!(
-                    "{:.1} KiB | {:.0} us | {}",
-                    p.retained_log_bytes as f64 / 1024.0,
-                    p.recovery_micros,
-                    p.replayed_records
-                )
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        out.flush().unwrap();
-    }
-    for s in &series {
-        let (first, last) = (
-            s.points.first().expect("non-empty series"),
-            s.points.last().expect("non-empty series"),
-        );
-        writeln!(
-            out,
-            "# {}: retained log {:.1} -> {:.1} KiB, recovery {:.0} -> {:.0} us across {}x history ({} checkpoints at max)",
-            s.label,
-            first.retained_log_bytes as f64 / 1024.0,
-            last.retained_log_bytes as f64 / 1024.0,
-            first.recovery_micros,
-            last.recovery_micros,
-            last.txns / first.txns.max(1),
-            last.checkpoints
-        )
-        .unwrap();
-    }
-    let json = recovery_json(scale, &series);
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    writeln!(out, "# baseline written to BENCH_recovery.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Readscale: the read-mostly mix with the multi-version snapshot read
-/// path on vs the S-lock-reads ablation, plus the `BENCH_readscale.json`
-/// CI baseline. Acceptance: on ≥ 1.5× off at 8 connections.
-fn readscale(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Readscale — snapshot reads vs S-lock reads").unwrap();
-    writeln!(
-        out,
-        "# {} transactions per point, {}% writers; columns: txns/sec (failed)",
-        scale.txns, READSCALE_WRITE_PCT
-    )
-    .unwrap();
-    let series = run_readscale_series(scale);
-    write!(out, "{:>12}", "connections").unwrap();
-    for s in &series {
-        write!(out, " {:>24}", s.label).unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>12}", series[0].points[i].connections).unwrap();
-        for s in &series {
-            let p = &s.points[i];
-            write!(
-                out,
-                " {:>24}",
-                format!("{:.1} ({})", p.txns_per_sec, p.failed)
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        out.flush().unwrap();
-    }
-    writeln!(
-        out,
-        "# snapshot-on / snapshot-off at max connections: {:.2}x (acceptance floor 1.5x)",
-        readscale_speedup(&series)
-    )
-    .unwrap();
-    let json = readscale_json(scale, &series);
-    std::fs::write("BENCH_readscale.json", &json).expect("write BENCH_readscale.json");
-    writeln!(out, "# baseline written to BENCH_readscale.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Pointmix: the point-access mix with the named secondary indexes
-/// installed vs the no-index scan ablation, plus the `BENCH_index.json`
-/// CI baseline. Acceptance: indexed ≥ 3× no-index at 8 connections with
-/// rows-scanned per point statement O(1) instead of O(table).
-fn pointmix(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Pointmix — index plans vs heap scans").unwrap();
-    writeln!(
-        out,
-        "# {} transactions per point, {}% point writers; columns: txns/sec (rows/stmt)",
-        scale.txns, POINTMIX_WRITE_PCT
-    )
-    .unwrap();
-    let series = run_pointmix_series(scale);
-    write!(out, "{:>12}", "connections").unwrap();
-    for s in &series {
-        write!(out, " {:>24}", s.label).unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>12}", series[0].points[i].scaling.connections).unwrap();
-        for s in &series {
-            let p = &s.points[i];
-            write!(
-                out,
-                " {:>24}",
-                format!(
-                    "{:.1} ({:.1})",
-                    p.scaling.txns_per_sec, p.rows_per_statement
-                )
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        out.flush().unwrap();
-    }
-    for s in &series {
-        let top = s.points.last().expect("non-empty series");
-        writeln!(
-            out,
-            "# {}: {:.3} syncs/commit; {} rows scanned, {} index lookups at {} connections",
-            s.label,
-            top.scaling.syncs_per_commit,
-            top.rows_scanned,
-            top.index_lookups,
-            top.scaling.connections
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "# indexed / no-index at max connections: {:.2}x (acceptance floor 3x)",
-        pointmix_speedup(&series)
-    )
-    .unwrap();
-    let json = pointmix_json(scale, &series);
-    std::fs::write("BENCH_index.json", &json).expect("write BENCH_index.json");
-    writeln!(out, "# baseline written to BENCH_index.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Rangemix: the range-heavy date-window mix with the btree indexes
-/// installed vs the forced-scan ablation, plus the `BENCH_range.json` CI
-/// baseline. Acceptance: indexed ≥ 3× forced-scan at 8 connections with
-/// snapshot windows served by live-index probes (zero rebuilds).
-fn rangemix(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Rangemix — btree range plans vs forced scans").unwrap();
-    writeln!(
-        out,
-        "# {} transactions per point, {}% writers; columns: txns/sec (rows/stmt)",
-        scale.txns, RANGEMIX_WRITE_PCT
-    )
-    .unwrap();
-    let series = run_rangemix_series(scale);
-    write!(out, "{:>12}", "connections").unwrap();
-    for s in &series {
-        write!(out, " {:>24}", s.label).unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>12}", series[0].points[i].scaling.connections).unwrap();
-        for s in &series {
-            let p = &s.points[i];
-            write!(
-                out,
-                " {:>24}",
-                format!(
-                    "{:.1} ({:.1})",
-                    p.scaling.txns_per_sec, p.rows_per_statement
-                )
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        out.flush().unwrap();
-    }
-    for s in &series {
-        let top = s.points.last().expect("non-empty series");
-        writeln!(
-            out,
-            "# {}: {:.3} syncs/commit; {} rows scanned, {} index lookups, {} index rebuilds avoided at {} connections",
-            s.label,
-            top.scaling.syncs_per_commit,
-            top.rows_scanned,
-            top.index_lookups,
-            top.index_rebuilds_avoided,
-            top.scaling.connections
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "# indexed / forced-scan at max connections: {:.2}x (acceptance floor 3x)",
-        rangemix_speedup(&series)
-    )
-    .unwrap();
-    let json = rangemix_json(scale, &series);
-    std::fs::write("BENCH_range.json", &json).expect("write BENCH_range.json");
-    writeln!(out, "# baseline written to BENCH_range.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Sharding: per-shard commit pipelines on the shard-local vs 50%-cross
-/// mixes at shards ∈ {1, 2, 4}, plus the `BENCH_sharding.json` CI
-/// baseline. Acceptance: 4-shard local ≥ 1.5× 1-shard at 8 connections
-/// (parity at 1 connection); the cross series shows the two-phase tax.
-fn sharding(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Sharding — per-shard commit pipelines").unwrap();
-    writeln!(
-        out,
-        "# {} transactions per point; device sync latency {}us; cross mix {}% two-shard txns; columns: txns/sec (failed)",
-        scale.txns,
-        scale.cost.per_commit.as_micros(),
-        SHARDING_CROSS_PCT
-    )
-    .unwrap();
-    let series = run_sharding_series(scale);
-    write!(out, "{:>12}", "connections").unwrap();
-    for s in &series {
-        write!(out, " {:>16}", s.label).unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>12}", series[0].points[i].scaling.connections).unwrap();
-        for s in &series {
-            let p = &s.points[i];
-            write!(
-                out,
-                " {:>16}",
-                format!("{:.1} ({})", p.scaling.txns_per_sec, p.scaling.failed)
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        out.flush().unwrap();
-    }
-    for s in &series {
-        let top = s.points.last().expect("non-empty series");
-        let syncs: Vec<String> = top.shard_syncs.iter().map(|n| n.to_string()).collect();
-        writeln!(
-            out,
-            "# {}: {:.1} txns/sec at {} connections; {:.3} syncs/commit; {} cross-shard commits, {} prepares; {} deadlocks ({} victims, {} probes), {} timeouts; per-shard syncs [{}]",
-            s.label,
-            top.scaling.txns_per_sec,
-            top.scaling.connections,
-            top.scaling.syncs_per_commit,
-            top.cross_shard_commits,
-            top.cross_shard_prepares,
-            top.deadlocks,
-            top.deadlock_victims,
-            top.detection_probes,
-            top.timeouts,
-            syncs.join(", ")
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "# local 4-shard / 1-shard at 8 connections: {:.2}x (acceptance floor 1.5x)",
-        sharding_local_speedup(&series)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "# cross-shard tax (local / {}% cross at 4 shards, 8 connections): {:.2}x",
-        SHARDING_CROSS_PCT,
-        sharding_cross_tax(&series)
-    )
-    .unwrap();
-    let json = sharding_json(scale, &series);
-    std::fs::write("BENCH_sharding.json", &json).expect("write BENCH_sharding.json");
-    writeln!(out, "# baseline written to BENCH_sharding.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Hotcycle: global cross-shard deadlock detection vs the timeout-only
-/// ablation on the deadlock-prone hot-row mix, plus the
-/// `BENCH_deadlock.json` CI baseline. Acceptance: zero timeouts on the
-/// detect arm and detect throughput ≥ 2× the ablation.
-fn hotcycle(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Hotcycle — global deadlock detection vs timeouts").unwrap();
-    writeln!(
-        out,
-        "# opposite-order hot-row pairs at {HOTCYCLE_SHARDS} shards, {HOTCYCLE_CONNECTIONS} connections; columns per arm"
-    )
-    .unwrap();
-    let report = run_hotcycle(scale);
-    writeln!(
-        out,
-        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "arm",
-        "txns/sec",
-        "committed",
-        "deadlocks",
-        "victims",
-        "probes",
-        "timeouts",
-        "p50 block",
-        "p99 block"
-    )
-    .unwrap();
-    for a in [&report.detect, &report.timeout] {
-        writeln!(
-            out,
-            "{:>10} {:>10.1} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-            a.label,
-            a.txns_per_sec,
-            a.committed,
-            a.deadlocks,
-            a.deadlock_victims,
-            a.detection_probes,
-            a.timeouts,
-            format!("{}us", a.p50_block_us),
-            format!("{}us", a.p99_block_us)
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "# detect / timeout-only throughput: {:.2}x (acceptance floor 2x); detect-arm timeouts: {} (acceptance: 0)",
-        report.detect_speedup(),
-        report.detect.timeouts
-    )
-    .unwrap();
-    let json = hotcycle_json(scale, &report);
-    std::fs::write("BENCH_deadlock.json", &json).expect("write BENCH_deadlock.json");
-    writeln!(out, "# baseline written to BENCH_deadlock.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Auditgraph: run the contended cross-shard mix under the protocol
-/// auditor and serialize its lock-order graph + cycle report to
-/// `AUDIT_lock_graph.json` (a CI artifact). Needs an audited build
-/// (`--features audit` in release; debug builds always audit) —
-/// unaudited builds write an empty stub and say so.
-fn auditgraph(out: &mut impl Write, scale: &Scale) {
-    writeln!(
-        out,
-        "# Auditgraph — lock-order graph of the cross-shard mix"
-    )
-    .unwrap();
-    let report = run_audit_graph(scale);
-    writeln!(
-        out,
-        "# {} committed; {} audit events; {} deadlocks, {} timeouts",
-        report.committed, report.audit_events, report.deadlocks, report.timeouts
-    )
-    .unwrap();
-    let json = match report.graph_json {
-        Some(json) => json,
-        None => {
-            writeln!(
-                out,
-                "# UNAUDITED build — rerun with `--features audit` for a real graph"
-            )
-            .unwrap();
-            "{\"edges\": [], \"cycles\": [], \"unaudited\": true}\n".to_string()
-        }
-    };
-    std::fs::write("AUDIT_lock_graph.json", &json).expect("write AUDIT_lock_graph.json");
-    writeln!(out, "# graph written to AUDIT_lock_graph.json").unwrap();
-    writeln!(out).unwrap();
-}
-
 /// Ablations Ab1–Ab4 (DESIGN.md).
 fn ablations(out: &mut impl Write, scale: &Scale) {
     writeln!(
@@ -618,7 +151,21 @@ fn ablations(out: &mut impl Write, scale: &Scale) {
     )
     .unwrap();
     let total = scale.txns;
-    let rows: Vec<(&str, Option<Ablation>, Family)> = vec![
+    let mut row = |label: &str, p: youtopia_bench::Point, total: usize, note: &str| {
+        writeln!(
+            out,
+            "{label:>32}: {:>8.3}s  {}/{total}{note}",
+            p.seconds, p.committed
+        )
+        .unwrap();
+        out.flush().unwrap();
+    };
+    // Ab1: run trigger — f=1 vs f=50 at a fixed pending load.
+    for f in [1usize, 50] {
+        let label = format!("run trigger f={f}, p=10 (Ab1)");
+        row(&label, run_fig6b(scale, 10, f, 50), total, "");
+    }
+    let rows: [(&str, Option<Ablation>, Family); 5] = [
         ("baseline (Entangled-T)", None, Family::Entangled),
         (
             "group commit OFF (Ab2)",
@@ -638,14 +185,7 @@ fn ablations(out: &mut impl Write, scale: &Scale) {
         ("row locks, NoSocial (Ab4 ref)", None, Family::NoSocial),
     ];
     for (label, ab, fam) in rows {
-        let p = run_ablated(scale, ab, fam, 50);
-        writeln!(
-            out,
-            "{label:>32}: {:>8.3}s  {}/{}",
-            p.seconds, p.committed, total
-        )
-        .unwrap();
-        out.flush().unwrap();
+        row(label, run_ablated(scale, ab, fam, 50), total, "");
     }
     // The structural negative result: table locks + entangled pairs.
     let mut tiny = *scale;
@@ -656,100 +196,11 @@ fn ablations(out: &mut impl Write, scale: &Scale) {
         Family::Entangled,
         8,
     );
-    writeln!(
-        out,
-        "{:>32}: {:>8.3}s  {}/4  (livelock by design — see EXPERIMENTS.md)",
-        "table locks, Entangled (Ab4)", p.seconds, p.committed
-    )
-    .unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Scaling: committed-txns/sec vs connections on the transactional mixes,
-/// plus the `BENCH_scaling.json` baseline for the CI perf trajectory.
-fn scaling(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Scaling — committed txns/sec vs connections").unwrap();
-    writeln!(
-        out,
-        "# {} transactions per point; per-statement cost {}us",
-        scale.txns,
-        scale.cost.per_statement.as_micros()
-    )
-    .unwrap();
-    let series = run_scaling_series(scale);
-    write!(out, "{:>12}", "connections").unwrap();
-    for (label, _) in &series {
-        write!(out, " {label:>12}").unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |(_, p)| p.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>12}", series[0].1[i].connections).unwrap();
-        for (_, points) in &series {
-            write!(out, " {:>12.1}", points[i].txns_per_sec).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    for (label, points) in &series {
-        let top = points.last().expect("non-empty series");
-        writeln!(
-            out,
-            "# {label}: speedup {:.2}x at max connections; {:.3} syncs/commit there (group commit amortizes durability)",
-            scaling_speedup(points),
-            top.syncs_per_commit
-        )
-        .unwrap();
-    }
-    let json = scaling_json(scale, &series);
-    std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    writeln!(out, "# baseline written to BENCH_scaling.json").unwrap();
-    writeln!(out).unwrap();
-}
-
-/// Durability: the group-commit WAL pipeline vs sync-per-commit, measured
-/// as committed-txns/sec and syncs-per-commit across connection counts,
-/// plus the `BENCH_durability.json` CI baseline.
-fn durability(out: &mut impl Write, scale: &Scale) {
-    writeln!(out, "# Durability — group-commit WAL pipeline").unwrap();
-    writeln!(
-        out,
-        "# {} transactions per point; device sync latency {}us; columns: txns/sec (syncs/commit)",
-        scale.txns,
-        scale.cost.per_commit.as_micros()
-    )
-    .unwrap();
-    let series = run_durability_series(scale);
-    write!(out, "{:>12}", "connections").unwrap();
-    for s in &series {
-        write!(out, " {:>22}", s.label).unwrap();
-    }
-    writeln!(out).unwrap();
-    let points_per_series = series.first().map_or(0, |s| s.points.len());
-    for i in 0..points_per_series {
-        write!(out, "{:>12}", series[0].points[i].connections).unwrap();
-        for s in &series {
-            let p = &s.points[i];
-            write!(
-                out,
-                " {:>22}",
-                format!("{:.1} ({:.3})", p.txns_per_sec, p.syncs_per_commit)
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        out.flush().unwrap();
-    }
-    for s in &series {
-        let top = s.points.last().expect("non-empty series");
-        writeln!(
-            out,
-            "# {}: {:.1} txns/sec, {:.3} syncs/commit at {} connections",
-            s.label, top.txns_per_sec, top.syncs_per_commit, top.connections
-        )
-        .unwrap();
-    }
-    let json = durability_json(scale, &series);
-    std::fs::write("BENCH_durability.json", &json).expect("write BENCH_durability.json");
-    writeln!(out, "# baseline written to BENCH_durability.json").unwrap();
+    row(
+        "table locks, Entangled (Ab4)",
+        p,
+        4,
+        "  (livelock by design — see DESIGN.md \"Ablations\")",
+    );
     writeln!(out).unwrap();
 }

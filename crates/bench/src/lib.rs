@@ -1,22 +1,23 @@
-//! Shared experiment drivers for the benchmark harness: one function per
-//! figure of the paper's evaluation (§5.2), used by both the Criterion
-//! benches and the `repro` binary.
+//! Experiment drivers for the paper's evaluation (§5.2): Figure 6(a)–(c)
+//! and the Ab1–Ab4 ablations of DESIGN.md, used by both the Criterion
+//! benches and the `repro` binary. All four are instances of one
+//! experiment shape — engine config, scheduler config, programs, stop
+//! condition — executed by one private runner.
 //!
 //! Absolute numbers will not match the paper's 2011 testbed (MySQL on a
-//! Core i7); the drivers are built so the *shapes* match — see
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! Core i7); the drivers are built so the *shapes* match. What the engine
+//! itself costs, without a sleep-based [`CostModel`], is measured by the
+//! repo benchmark under `benchmark/`.
 
 use entangled_txn::{
-    CheckpointPolicy, CostModel, DeadlockPolicy, EngineConfig, IsolationMode, LockGranularity,
-    RunTrigger, Scheduler, SchedulerConfig,
+    CostModel, EngineConfig, IsolationMode, LockGranularity, Program, RunTrigger, Scheduler,
+    SchedulerConfig,
 };
 use std::time::{Duration, Instant};
 use youtopia_entangle::SolverConfig;
 use youtopia_workload::{
-    engine_config, generate, generate_hot_cycle, generate_point_mix, generate_range_mix,
-    generate_read_mix, generate_shard_mix, generate_structured, pending_plan, point_index_script,
-    point_seed_script, range_index_script, range_seed_script, scheduler_for, shard_index_script,
-    Family, SocialGraph, Structure, TravelData, TravelParams, WorkloadMode,
+    engine_config, generate, generate_structured, pending_plan, Family, SocialGraph, Structure,
+    TravelData, TravelParams, WorkloadMode,
 };
 
 /// Experiment scale, trading fidelity for wall-clock time.
@@ -81,53 +82,83 @@ pub struct Point {
     pub seconds: f64,
     pub committed: usize,
     pub failed: usize,
-    /// Device syncs the workload paid (excluding the setup bootstrap
-    /// sync); `syncs / committed` is the durability amortization figure.
-    pub syncs: u64,
+}
+
+/// Everything that distinguishes one experiment run from another.
+struct Experiment {
+    label: String,
+    x: f64,
+    config: EngineConfig,
+    scheduler: SchedulerConfig,
+    /// Submitted in order; the scheduler's trigger decides when runs start.
+    programs: Vec<Program>,
+    /// Stop once this many transactions have committed (the rest of the
+    /// pool is pending by design); `None` drains the pool.
+    until_committed: Option<usize>,
+}
+
+/// The one runner: build an engine over `data`, submit every program,
+/// finish as the experiment asks, and time submit-to-finish.
+fn run(data: &TravelData, exp: Experiment) -> Point {
+    let engine = data.build_engine(exp.config);
+    let mut sched = Scheduler::new(engine, exp.scheduler);
+    let start = Instant::now();
+    for p in exp.programs {
+        sched.submit(p);
+    }
+    let stats = match exp.until_committed {
+        None => sched.drain(),
+        Some(target) => {
+            // Finish whatever the arrival trigger has not flushed; the
+            // run cap only guards against a workload that cannot finish.
+            let mut runs = 0;
+            while sched.stats().committed < target && runs < target * 4 + 16 {
+                sched.run_once();
+                runs += 1;
+            }
+            sched.stats().clone()
+        }
+    };
+    Point {
+        label: exp.label,
+        x: exp.x,
+        seconds: start.elapsed().as_secs_f64(),
+        committed: stats.committed,
+        failed: stats.failed,
+    }
+}
+
+/// Scheduler whose runs start every `f` arrivals and whose transactions
+/// retry until their own deadline (Figure 6(b)/(c)).
+fn arrival_scheduler(connections: usize, f: usize) -> SchedulerConfig {
+    SchedulerConfig {
+        connections,
+        trigger: RunTrigger::Arrivals(f.max(1)),
+        max_attempts: u32::MAX,
+        ..SchedulerConfig::default()
+    }
 }
 
 /// Figure 6(a): execute `scale.txns` transactions of one workload at a
 /// given connection count; returns elapsed seconds.
 pub fn run_fig6a(scale: &Scale, family: Family, mode: WorkloadMode, connections: usize) -> Point {
-    run_fig6a_configured(scale, family, mode, connections, true)
-}
-
-/// [`run_fig6a`] with the WAL group-commit pipeline togglable (off =
-/// every commit pays its own serialized device sync).
-pub fn run_fig6a_configured(
-    scale: &Scale,
-    family: Family,
-    mode: WorkloadMode,
-    connections: usize,
-    wal_group_commit: bool,
-) -> Point {
     let data = scale.data();
-    let mut cfg = engine_config(mode, scale.cost, false);
-    cfg.wal_group_commit = wal_group_commit;
-    let engine = data.build_engine(cfg);
-    let mut sched = scheduler_for(engine, connections);
-    let programs = generate(family, &data, scale.txns, scale.seed);
-    let n = programs.len();
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    let seconds = start.elapsed().as_secs_f64();
     let suffix = match mode {
         WorkloadMode::Transactional => "T",
         WorkloadMode::QueryOnly => "Q",
     };
-    Point {
+    let exp = Experiment {
         label: format!("{}-{}", family.label(), suffix),
         x: connections as f64,
-        seconds,
-        committed: stats.committed,
-        // Everything not committed counts as failed, including
-        // submissions the drain gave up on without a final status.
-        failed: n - stats.committed,
-        syncs: stats.syncs,
-    }
+        config: engine_config(mode, scale.cost, false),
+        scheduler: SchedulerConfig {
+            connections,
+            ..SchedulerConfig::default()
+        },
+        programs: generate(family, &data, scale.txns, scale.seed),
+        until_committed: None,
+    };
+    run(&data, exp)
 }
 
 /// Figure 6(b): `p` permanently-pending transactions cycle through every
@@ -135,45 +166,17 @@ pub fn run_fig6a_configured(
 /// all paired transactions to commit.
 pub fn run_fig6b(scale: &Scale, p: usize, f: usize, connections: usize) -> Point {
     let data = scale.data();
-    let engine = data.build_engine(engine_config(
-        WorkloadMode::Transactional,
-        scale.cost,
-        false,
-    ));
-    let mut sched = Scheduler::new(
-        engine,
-        SchedulerConfig {
-            connections,
-            trigger: RunTrigger::Arrivals(f.max(1)),
-            max_attempts: u32::MAX,
-            checkpoint: CheckpointPolicy::DISABLED,
-        },
-    );
     let plan = pending_plan(&data, scale.txns, p, scale.seed);
     let paired = plan.paired.len();
-    let start = Instant::now();
-    for prog in plan.pending {
-        sched.submit(prog);
-    }
-    for prog in plan.paired {
-        sched.submit(prog);
-    }
-    // Finish whatever the arrival trigger has not flushed.
-    let mut guard = 0;
-    while sched.stats().committed < paired && guard < paired + 16 {
-        sched.run_once();
-        guard += 1;
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let stats = sched.stats().clone();
-    Point {
+    let exp = Experiment {
         label: format!("f={f}"),
         x: p as f64,
-        seconds,
-        committed: stats.committed,
-        failed: stats.failed,
-        syncs: stats.syncs,
-    }
+        config: engine_config(WorkloadMode::Transactional, scale.cost, false),
+        scheduler: arrival_scheduler(connections, f),
+        programs: plan.pending.into_iter().chain(plan.paired).collect(),
+        until_committed: Some(paired),
+    };
+    run(&data, exp)
 }
 
 /// Figure 6(c): coordination groups of size `k` with the given structure;
@@ -187,1296 +190,21 @@ pub fn run_fig6c(
     connections: usize,
 ) -> Point {
     let data = scale.data();
-    let engine = data.build_engine(engine_config(
-        WorkloadMode::Transactional,
-        scale.cost,
-        false,
-    ));
-    let mut sched = Scheduler::new(
-        engine,
-        SchedulerConfig {
-            connections,
-            trigger: RunTrigger::Arrivals(f.max(1)),
-            max_attempts: u32::MAX,
-            checkpoint: CheckpointPolicy::DISABLED,
-        },
-    );
     let programs = generate_structured(structure, &data, groups, k, Duration::from_secs(120));
     let total = programs.len();
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let mut guard = 0;
-    while sched.stats().committed < total && guard < total * 4 + 16 {
-        sched.run_once();
-        guard += 1;
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let stats = sched.stats().clone();
-    Point {
+    let exp = Experiment {
         label: format!("{}, f={f}", structure.label()),
         x: k as f64,
-        seconds,
-        committed: stats.committed,
-        failed: stats.failed,
-        syncs: stats.syncs,
-    }
-}
-
-/// Connection counts measured by the `scaling` driver.
-pub const SCALING_CONNECTIONS: [usize; 4] = [1, 2, 4, 8];
-
-/// One measured point of the `scaling` driver: committed-transactions
-/// throughput at a connection count.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    pub connections: usize,
-    pub seconds: f64,
-    pub committed: usize,
-    pub failed: usize,
-    pub txns_per_sec: f64,
-    /// Device syncs per committed transaction (< 1 = group commit is
-    /// amortizing durability across transactions).
-    pub syncs_per_commit: f64,
-}
-
-/// Throughput (committed txns/sec) of one Figure 6(a) mix at a connection
-/// count. Requires a **non-zero** [`CostModel`]: with free statements the
-/// scheduler overhead dominates and connection scaling is meaningless —
-/// the whole point is that per-statement latency overlaps across
-/// connections now that storage has no global latch.
-pub fn run_scaling(
-    scale: &Scale,
-    family: Family,
-    mode: WorkloadMode,
-    connections: usize,
-) -> ScalingPoint {
-    assert!(
-        !scale.cost.per_statement.is_zero(),
-        "the scaling driver needs a non-zero CostModel"
-    );
-    scaling_point(run_fig6a(scale, family, mode, connections), connections)
-}
-
-fn scaling_point(p: Point, connections: usize) -> ScalingPoint {
-    ScalingPoint {
-        connections,
-        seconds: p.seconds,
-        committed: p.committed,
-        failed: p.failed,
-        txns_per_sec: if p.seconds > 0.0 {
-            p.committed as f64 / p.seconds
-        } else {
-            0.0
-        },
-        syncs_per_commit: if p.committed > 0 {
-            p.syncs as f64 / p.committed as f64
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Measure the transactional Figure 6(a) mixes over
-/// [`SCALING_CONNECTIONS`]; returns `(series label, points)` pairs.
-pub fn run_scaling_series(scale: &Scale) -> Vec<(String, Vec<ScalingPoint>)> {
-    Family::ALL
-        .iter()
-        .map(|family| {
-            let points = SCALING_CONNECTIONS
-                .iter()
-                .map(|&c| run_scaling(scale, *family, WorkloadMode::Transactional, c))
-                .collect();
-            (format!("{}-T", family.label()), points)
-        })
-        .collect()
-}
-
-/// Speedup of the highest-connection point over the single-connection one.
-pub fn scaling_speedup(points: &[ScalingPoint]) -> f64 {
-    match (points.first(), points.last()) {
-        (Some(base), Some(top)) if base.txns_per_sec > 0.0 => top.txns_per_sec / base.txns_per_sec,
-        _ => 0.0,
-    }
-}
-
-/// Serialize one series body (per-series extras + speedup + points) for
-/// the hand-rolled JSON baselines — the serde shim has no serializer, and
-/// both `BENCH_scaling.json` and `BENCH_durability.json` share this shape.
-fn series_json(out: &mut String, extra_fields: &str, points: &[ScalingPoint], last: bool) {
-    out.push_str(&format!(
-        "    {{\n{extra_fields}      \"speedup_max_over_1\": {:.3},\n      \"points\": [\n",
-        scaling_speedup(points)
-    ));
-    for (pi, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"connections\": {}, \"seconds\": {:.6}, \"committed\": {}, \"failed\": {}, \"txns_per_sec\": {:.3}, \"syncs_per_commit\": {:.4}}}{}\n",
-            p.connections,
-            p.seconds,
-            p.committed,
-            p.failed,
-            p.txns_per_sec,
-            p.syncs_per_commit,
-            if pi + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!("      ]\n    }}{}\n", if last { "" } else { "," }));
-}
-
-/// Serialize scaling series as the `BENCH_scaling.json` baseline tracked
-/// as a CI artifact.
-pub fn scaling_json(scale: &Scale, series: &[(String, Vec<ScalingPoint>)]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"scaling\",\n");
-    out.push_str(&format!("  \"txns_per_point\": {},\n", scale.txns));
-    out.push_str(&format!(
-        "  \"cost_per_statement_us\": {},\n  \"series\": [\n",
-        scale.cost.per_statement.as_micros()
-    ));
-    for (si, (label, points)) in series.iter().enumerate() {
-        let extra = format!("      \"label\": \"{label}\",\n");
-        series_json(&mut out, &extra, points, si + 1 == series.len());
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One `durability` driver series: a Figure 6(a) transactional mix with
-/// the WAL group-commit pipeline on or off.
-#[derive(Debug, Clone)]
-pub struct DurabilitySeries {
-    pub label: String,
-    pub family: Family,
-    pub group_commit: bool,
-    pub points: Vec<ScalingPoint>,
-}
-
-/// Measure the durability pipeline: committed-txns/sec and
-/// syncs-per-commit over [`SCALING_CONNECTIONS`], with and without the
-/// group-commit sync batching, on the transactional Figure 6(a) mixes.
-/// With group commit ON, concurrent commits share a leader's sync, so
-/// syncs-per-commit drops below 1 as connections rise; OFF reproduces the
-/// pre-pipeline cost — one serialized device sync per commit *group*
-/// (1.0 for classical mixes, 0.5 for entangled pairs).
-pub fn run_durability_series(scale: &Scale) -> Vec<DurabilitySeries> {
-    assert!(
-        !scale.cost.per_commit.is_zero(),
-        "the durability driver needs a non-zero sync latency (cost.per_commit)"
-    );
-    let mut out = Vec::new();
-    for group_commit in [true, false] {
-        for family in [Family::NoSocial, Family::Entangled] {
-            let points = SCALING_CONNECTIONS
-                .iter()
-                .map(|&c| {
-                    let p = run_fig6a_configured(
-                        scale,
-                        family,
-                        WorkloadMode::Transactional,
-                        c,
-                        group_commit,
-                    );
-                    scaling_point(p, c)
-                })
-                .collect();
-            out.push(DurabilitySeries {
-                label: format!(
-                    "{}-T gc={}",
-                    family.label(),
-                    if group_commit { "on" } else { "off" }
-                ),
-                family,
-                group_commit,
-                points,
-            });
-        }
-    }
-    out
-}
-
-/// Serialize durability series as the `BENCH_durability.json` baseline
-/// tracked as a CI artifact (same shape as [`scaling_json`] plus the
-/// machine-readable family/group-commit keys).
-pub fn durability_json(scale: &Scale, series: &[DurabilitySeries]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"durability\",\n");
-    out.push_str(&format!("  \"txns_per_point\": {},\n", scale.txns));
-    out.push_str(&format!(
-        "  \"sync_latency_us\": {},\n  \"series\": [\n",
-        scale.cost.per_commit.as_micros()
-    ));
-    for (si, s) in series.iter().enumerate() {
-        let extra = format!(
-            "      \"label\": \"{}\",\n      \"family\": \"{}\",\n      \"group_commit\": {},\n",
-            s.label,
-            s.family.label(),
-            s.group_commit
-        );
-        series_json(&mut out, &extra, &s.points, si + 1 == series.len());
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Percentage of writers in the `readscale` read-mostly mix.
-pub const READSCALE_WRITE_PCT: u32 = 20;
-
-/// One `readscale` driver series: the read-mostly mix with the
-/// multi-version snapshot read path on, or the S-lock-reads ablation
-/// (`EngineConfig.snapshot_reads = false` — readers queue behind writers'
-/// IX/X locks exactly as before this optimization).
-#[derive(Debug, Clone)]
-pub struct ReadscaleSeries {
-    pub label: String,
-    pub snapshot_reads: bool,
-    pub points: Vec<ScalingPoint>,
-}
-
-/// Measure one `readscale` point: committed-txns/sec of the read-mostly
-/// mix ([`READSCALE_WRITE_PCT`]% booking writers, the rest pure-read
-/// dashboard transactions) at a connection count, with the snapshot read
-/// path on or off.
-///
-/// The lock timeout is shortened so that, in the ablation, readers that
-/// time out behind a writer churn into retries instead of stalling a
-/// whole run on the 250 ms default — the fairer (faster) baseline.
-pub fn run_readscale(scale: &Scale, connections: usize, snapshot_reads: bool) -> ScalingPoint {
-    assert!(
-        !scale.cost.per_statement.is_zero(),
-        "the readscale driver needs a non-zero CostModel"
-    );
-    let data = scale.data();
-    let mut cfg = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    cfg.snapshot_reads = snapshot_reads;
-    cfg.lock_timeout = Duration::from_millis(3);
-    let engine = data.build_engine(cfg);
-    let mut sched = scheduler_for(engine, connections);
-    let programs = generate_read_mix(&data, scale.txns, READSCALE_WRITE_PCT, scale.seed);
-    let n = programs.len();
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    let seconds = start.elapsed().as_secs_f64();
-    scaling_point(
-        Point {
-            label: format!(
-                "readmix snapshot={}",
-                if snapshot_reads { "on" } else { "off" }
-            ),
-            x: connections as f64,
-            seconds,
-            committed: stats.committed,
-            failed: n - stats.committed,
-            syncs: stats.syncs,
-        },
-        connections,
-    )
-}
-
-/// The `readscale` experiment: the read-mostly mix over
-/// [`SCALING_CONNECTIONS`], snapshot reads on vs off. The acceptance
-/// target is on ≥ 1.5× off (committed txns/sec) at 8 connections: with
-/// S-lock reads every reader's table-S on `Reserve` collides with the
-/// writers' IX locks, while snapshot readers never touch the lock
-/// manager.
-pub fn run_readscale_series(scale: &Scale) -> Vec<ReadscaleSeries> {
-    [true, false]
-        .iter()
-        .map(|&snapshot_reads| ReadscaleSeries {
-            label: format!(
-                "readmix snapshot={}",
-                if snapshot_reads { "on" } else { "off" }
-            ),
-            snapshot_reads,
-            points: SCALING_CONNECTIONS
-                .iter()
-                .map(|&c| run_readscale(scale, c, snapshot_reads))
-                .collect(),
-        })
-        .collect()
-}
-
-/// Throughput ratio of the snapshot-on series over the ablation at the
-/// highest connection count (the acceptance figure).
-pub fn readscale_speedup(series: &[ReadscaleSeries]) -> f64 {
-    let at_max = |snapshot: bool| {
-        series
-            .iter()
-            .find(|s| s.snapshot_reads == snapshot)
-            .and_then(|s| s.points.last())
-            .map_or(0.0, |p| p.txns_per_sec)
+        config: engine_config(WorkloadMode::Transactional, scale.cost, false),
+        scheduler: arrival_scheduler(connections, f),
+        programs,
+        until_committed: Some(total),
     };
-    let (on, off) = (at_max(true), at_max(false));
-    if off > 0.0 {
-        on / off
-    } else {
-        0.0
-    }
+    run(&data, exp)
 }
 
-/// Serialize readscale series as the `BENCH_readscale.json` baseline
-/// tracked as a CI artifact (same shape as [`scaling_json`] plus the
-/// snapshot-reads key).
-pub fn readscale_json(scale: &Scale, series: &[ReadscaleSeries]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"readscale\",\n");
-    out.push_str(&format!("  \"txns_per_point\": {},\n", scale.txns));
-    out.push_str(&format!("  \"write_pct\": {READSCALE_WRITE_PCT},\n"));
-    out.push_str(&format!(
-        "  \"snapshot_on_over_off_at_max\": {:.3},\n  \"series\": [\n",
-        readscale_speedup(series)
-    ));
-    for (si, s) in series.iter().enumerate() {
-        let extra = format!(
-            "      \"label\": \"{}\",\n      \"snapshot_reads\": {},\n",
-            s.label, s.snapshot_reads
-        );
-        series_json(&mut out, &extra, &s.points, si + 1 == series.len());
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Percentage of point writers in the `pointmix` mix: write-heavy, so
-/// the locked access paths (UPDATE target resolution and the in-txn
-/// confirm SELECT) dominate what the index is supposed to accelerate.
-pub const POINTMIX_WRITE_PCT: u32 = 80;
-
-/// Point statements per `pointmix` program (reader: two point SELECTs;
-/// writer: point UPDATE + confirm point SELECT) — the denominator of the
-/// rows-scanned-per-statement figure.
-pub const POINTMIX_STATEMENTS_PER_TXN: usize = 2;
-
-/// One measured point of the `pointmix` driver: [`ScalingPoint`] plus the
-/// access-path counters the secondary indexes exist to change.
-#[derive(Debug, Clone)]
-pub struct PointmixPoint {
-    pub scaling: ScalingPoint,
-    /// Base rows materialized as scan/probe candidates across the run.
-    pub rows_scanned: u64,
-    /// Index probes served (named-index point plans + eval probes).
-    pub index_lookups: u64,
-    /// `rows_scanned` per committed point statement: O(1) with the index,
-    /// O(table) without (retries inflate it slightly; the orders of
-    /// magnitude are what matter).
-    pub rows_per_statement: f64,
-}
-
-/// One `pointmix` driver series: the point-access mix with the named
-/// secondary indexes installed, or the no-index ablation (same data, same
-/// programs, scan plans only).
-#[derive(Debug, Clone)]
-pub struct PointmixSeries {
-    pub label: String,
-    pub indexed: bool,
-    pub points: Vec<PointmixPoint>,
-}
-
-/// Measure one `pointmix` point: committed-txns/sec and rows-scanned of
-/// the point-access mix at a connection count, with or without the named
-/// secondary indexes of [`point_index_script`].
-///
-/// Without the index every point UPDATE resolves its targets under the
-/// table-S + IX write-scan protocol, so concurrent writers serialize on
-/// the table *and* pay O(table) per statement; with it they take
-/// table-IX + key-X + one row-X and overlap freely. The lock timeout is
-/// shortened as in `readscale` so the ablation's S→IX upgrade standoffs
-/// churn into retries instead of stalling runs.
-pub fn run_pointmix(scale: &Scale, connections: usize, indexed: bool) -> PointmixPoint {
-    assert!(
-        !scale.cost.per_statement.is_zero(),
-        "the pointmix driver needs a non-zero CostModel"
-    );
-    let data = scale.data();
-    let mut cfg = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    cfg.lock_timeout = Duration::from_millis(3);
-    let engine = data.build_engine(cfg);
-    engine
-        .setup(&point_seed_script(&data))
-        .expect("valid seed script");
-    if indexed {
-        engine.setup(point_index_script()).expect("valid index DDL");
-    }
-    let mut sched = scheduler_for(engine, connections);
-    let programs = generate_point_mix(&data, scale.txns, POINTMIX_WRITE_PCT, scale.seed);
-    let n = programs.len();
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    let seconds = start.elapsed().as_secs_f64();
-    let scaling = scaling_point(
-        Point {
-            label: format!("pointmix index={}", if indexed { "on" } else { "off" }),
-            x: connections as f64,
-            seconds,
-            committed: stats.committed,
-            failed: n - stats.committed,
-            syncs: stats.syncs,
-        },
-        connections,
-    );
-    let statements = (scaling.committed * POINTMIX_STATEMENTS_PER_TXN).max(1);
-    PointmixPoint {
-        rows_scanned: stats.rows_scanned,
-        index_lookups: stats.index_lookups,
-        rows_per_statement: stats.rows_scanned as f64 / statements as f64,
-        scaling,
-    }
-}
-
-/// The `pointmix` experiment: the point-access mix over
-/// [`SCALING_CONNECTIONS`], indexed vs the no-index ablation. The
-/// acceptance target is indexed ≥ 3× no-index (committed txns/sec) at 8
-/// connections, with `rows_per_statement` dropping from O(table) to O(1).
-pub fn run_pointmix_series(scale: &Scale) -> Vec<PointmixSeries> {
-    [true, false]
-        .iter()
-        .map(|&indexed| PointmixSeries {
-            label: format!("pointmix index={}", if indexed { "on" } else { "off" }),
-            indexed,
-            points: SCALING_CONNECTIONS
-                .iter()
-                .map(|&c| run_pointmix(scale, c, indexed))
-                .collect(),
-        })
-        .collect()
-}
-
-/// Throughput ratio of the indexed series over the no-index ablation at
-/// the highest connection count (the acceptance figure).
-pub fn pointmix_speedup(series: &[PointmixSeries]) -> f64 {
-    let at_max = |indexed: bool| {
-        series
-            .iter()
-            .find(|s| s.indexed == indexed)
-            .and_then(|s| s.points.last())
-            .map_or(0.0, |p| p.scaling.txns_per_sec)
-    };
-    let (on, off) = (at_max(true), at_max(false));
-    if off > 0.0 {
-        on / off
-    } else {
-        0.0
-    }
-}
-
-/// Serialize pointmix series as the `BENCH_index.json` baseline tracked
-/// as a CI artifact (the [`scaling_json`] shape plus the per-point
-/// access-path counters).
-pub fn pointmix_json(scale: &Scale, series: &[PointmixSeries]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"pointmix\",\n");
-    out.push_str(&format!("  \"txns_per_point\": {},\n", scale.txns));
-    out.push_str(&format!("  \"write_pct\": {POINTMIX_WRITE_PCT},\n"));
-    out.push_str(&format!(
-        "  \"indexed_over_noindex_at_max\": {:.3},\n  \"series\": [\n",
-        pointmix_speedup(series)
-    ));
-    for (si, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"label\": \"{}\",\n      \"indexed\": {},\n      \"speedup_max_over_1\": {:.3},\n      \"points\": [\n",
-            s.label,
-            s.indexed,
-            scaling_speedup(&s.points.iter().map(|p| p.scaling.clone()).collect::<Vec<_>>())
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"connections\": {}, \"seconds\": {:.6}, \"committed\": {}, \"failed\": {}, \"txns_per_sec\": {:.3}, \"rows_scanned\": {}, \"index_lookups\": {}, \"rows_per_statement\": {:.3}}}{}\n",
-                p.scaling.connections,
-                p.scaling.seconds,
-                p.scaling.committed,
-                p.scaling.failed,
-                p.scaling.txns_per_sec,
-                p.rows_scanned,
-                p.index_lookups,
-                p.rows_per_statement,
-                if pi + 1 < s.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if si + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Percentage of writers in the `rangemix` mix. Write-heavy, like
-/// `pointmix`: every booker opens with a **locked** range read, so with
-/// the btree installed concurrent bookers hold next-key locks over
-/// mostly-disjoint date intervals and overlap, while the forced-scan
-/// ablation serializes them behind table-S → IX upgrade standoffs. The
-/// remaining 30% are snapshot dashboards — lock-free in both arms —
-/// whose windows exercise the visibility-filtered live-index probes.
-pub const RANGEMIX_WRITE_PCT: u32 = 70;
-
-/// Range statements per `rangemix` program (reader: BETWEEN window and
-/// composite window; booker: locked window and window UPDATE; inserter
-/// counts as one) — the denominator of rows-scanned-per-statement.
-pub const RANGEMIX_STATEMENTS_PER_TXN: usize = 2;
-
-/// One measured point of the `rangemix` driver: [`ScalingPoint`] plus
-/// the access-path counters the range plans exist to change.
-#[derive(Debug, Clone)]
-pub struct RangemixPoint {
-    pub scaling: ScalingPoint,
-    /// Base rows materialized as scan/probe candidates across the run.
-    pub rows_scanned: u64,
-    /// Index probes served (range + point plans, locked and snapshot).
-    pub index_lookups: u64,
-    /// Snapshot reads served by visibility-filtered probes of the live
-    /// index — each one a per-snapshot index rebuild that no longer
-    /// happens. 0 exactly in the forced-scan ablation.
-    pub index_rebuilds_avoided: u64,
-    /// `rows_scanned` per committed statement: O(window) with the btree
-    /// indexes, O(table) without.
-    pub rows_per_statement: f64,
-}
-
-/// One `rangemix` driver series: the range-heavy mix with the btree
-/// indexes installed, or the forced-scan ablation (same data, same
-/// programs, every window a table-S heap scan).
-#[derive(Debug, Clone)]
-pub struct RangemixSeries {
-    pub label: String,
-    pub indexed: bool,
-    pub points: Vec<RangemixPoint>,
-}
-
-/// Measure one `rangemix` point: committed-txns/sec and access-path
-/// counters for the range-heavy mix at a connection count, with or
-/// without the btree indexes of [`range_index_script`].
-///
-/// With the indexes every date window lowers to a `RangeProbe` — the
-/// locked path takes table-IS + next-key locks over the probed interval
-/// (instead of table-S over everything), and the snapshot path probes
-/// the live history-union index and filters by version visibility
-/// (instead of materializing an indexed copy). Without them every window
-/// scans. The lock timeout is shortened as in `pointmix` so the
-/// ablation's table-lock standoffs churn into retries.
-pub fn run_rangemix(scale: &Scale, connections: usize, indexed: bool) -> RangemixPoint {
-    assert!(
-        !scale.cost.per_statement.is_zero(),
-        "the rangemix driver needs a non-zero CostModel"
-    );
-    let data = scale.data();
-    let mut cfg = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    cfg.lock_timeout = Duration::from_millis(3);
-    let engine = data.build_engine(cfg);
-    engine
-        .setup(&range_seed_script(&data))
-        .expect("valid seed script");
-    if indexed {
-        engine.setup(range_index_script()).expect("valid index DDL");
-    }
-    let mut sched = scheduler_for(engine, connections);
-    let programs = generate_range_mix(&data, scale.txns, RANGEMIX_WRITE_PCT, scale.seed);
-    let n = programs.len();
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    let seconds = start.elapsed().as_secs_f64();
-    let scaling = scaling_point(
-        Point {
-            label: format!("rangemix index={}", if indexed { "on" } else { "off" }),
-            x: connections as f64,
-            seconds,
-            committed: stats.committed,
-            failed: n - stats.committed,
-            syncs: stats.syncs,
-        },
-        connections,
-    );
-    let statements = (scaling.committed * RANGEMIX_STATEMENTS_PER_TXN).max(1);
-    RangemixPoint {
-        rows_scanned: stats.rows_scanned,
-        index_lookups: stats.index_lookups,
-        index_rebuilds_avoided: stats.index_rebuilds_avoided,
-        rows_per_statement: stats.rows_scanned as f64 / statements as f64,
-        scaling,
-    }
-}
-
-/// The `rangemix` experiment: the range-heavy mix over
-/// [`SCALING_CONNECTIONS`], btree-indexed vs the forced-scan ablation.
-/// The acceptance target is indexed ≥ 3× forced-scan (committed
-/// txns/sec) at 8 connections, with snapshot range/point reads doing
-/// zero per-snapshot index rebuilds (`index_rebuilds_avoided` counts
-/// every probe that replaced one).
-pub fn run_rangemix_series(scale: &Scale) -> Vec<RangemixSeries> {
-    [true, false]
-        .iter()
-        .map(|&indexed| RangemixSeries {
-            label: format!("rangemix index={}", if indexed { "on" } else { "off" }),
-            indexed,
-            points: SCALING_CONNECTIONS
-                .iter()
-                .map(|&c| run_rangemix(scale, c, indexed))
-                .collect(),
-        })
-        .collect()
-}
-
-/// Throughput ratio of the indexed series over the forced-scan ablation
-/// at the highest connection count (the acceptance figure).
-pub fn rangemix_speedup(series: &[RangemixSeries]) -> f64 {
-    let at_max = |indexed: bool| {
-        series
-            .iter()
-            .find(|s| s.indexed == indexed)
-            .and_then(|s| s.points.last())
-            .map_or(0.0, |p| p.scaling.txns_per_sec)
-    };
-    let (on, off) = (at_max(true), at_max(false));
-    if off > 0.0 {
-        on / off
-    } else {
-        0.0
-    }
-}
-
-/// Serialize rangemix series as the `BENCH_range.json` baseline tracked
-/// as a CI artifact (the [`pointmix_json`] shape plus the
-/// rebuilds-avoided counter).
-pub fn rangemix_json(scale: &Scale, series: &[RangemixSeries]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"rangemix\",\n");
-    out.push_str(&format!("  \"txns_per_point\": {},\n", scale.txns));
-    out.push_str(&format!("  \"write_pct\": {RANGEMIX_WRITE_PCT},\n"));
-    out.push_str(&format!(
-        "  \"indexed_over_forced_scan_at_max\": {:.3},\n  \"series\": [\n",
-        rangemix_speedup(series)
-    ));
-    for (si, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"label\": \"{}\",\n      \"indexed\": {},\n      \"speedup_max_over_1\": {:.3},\n      \"points\": [\n",
-            s.label,
-            s.indexed,
-            scaling_speedup(&s.points.iter().map(|p| p.scaling.clone()).collect::<Vec<_>>())
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"connections\": {}, \"seconds\": {:.6}, \"committed\": {}, \"failed\": {}, \"txns_per_sec\": {:.3}, \"rows_scanned\": {}, \"index_lookups\": {}, \"index_rebuilds_avoided\": {}, \"rows_per_statement\": {:.3}}}{}\n",
-                p.scaling.connections,
-                p.scaling.seconds,
-                p.scaling.committed,
-                p.scaling.failed,
-                p.scaling.txns_per_sec,
-                p.rows_scanned,
-                p.index_lookups,
-                p.index_rebuilds_avoided,
-                p.rows_per_statement,
-                if pi + 1 < s.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if si + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Connection counts measured by the `sharding` driver (the scaling
-/// claim is "past 8 connections", so the sweep runs to 16).
-pub const SHARDING_CONNECTIONS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Shard counts measured by the `sharding` driver.
-pub const SHARDING_SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Percentage of cross-shard (two-table, two-shard) transactions in the
-/// cross mix; the local mix uses 0.
-pub const SHARDING_CROSS_PCT: u32 = 50;
-
-/// One measured point of the `sharding` driver: [`ScalingPoint`] plus
-/// the cross-shard commit counters and the per-shard sync spread.
-#[derive(Debug, Clone)]
-pub struct ShardingPoint {
-    pub scaling: ScalingPoint,
-    /// Cross-shard units committed through the two-phase record.
-    pub cross_shard_commits: u64,
-    /// `CrossPrepare` records written (one per participant per unit).
-    pub cross_shard_prepares: u64,
-    /// Device syncs per shard — skew here shows commit-pressure spread.
-    pub shard_syncs: Vec<u64>,
-    /// Waits-for cycles broken by victim selection during the run.
-    pub deadlocks: u64,
-    /// Expired lock waits (with detection off, cross-shard cycles
-    /// surface here — no single shard's detector can see them).
-    pub timeouts: u64,
-    /// Cross-shard detector convictions (a subset of `deadlocks`).
-    pub deadlock_victims: u64,
-    /// Edge-chasing probes launched by blocked waiters.
-    pub detection_probes: u64,
-}
-
-/// One `sharding` driver series: a shard count × mix locality.
-#[derive(Debug, Clone)]
-pub struct ShardingSeries {
-    pub label: String,
-    pub shards: usize,
-    pub cross_pct: u32,
-    pub points: Vec<ShardingPoint>,
-}
-
-/// Measure one `sharding` point: committed-txns/sec of the shard mix at
-/// a shard count and connection count.
-///
-/// The engine runs with WAL group commit **off** — every commit pays its
-/// own serialized device sync on its shard's segment — because that is
-/// the axis sharding parallelizes: one log device serializes all syncs,
-/// N per-shard devices sync concurrently. (Group-commit batching on a
-/// single device is the `durability` driver's axis; composing both still
-/// multiplies sync bandwidth by N.) Cross-shard transactions sync every
-/// participant segment before the unit commits, which is the measured
-/// cross-shard tax.
-pub fn run_sharding(
-    scale: &Scale,
-    shards: usize,
-    connections: usize,
-    cross_pct: u32,
-) -> ShardingPoint {
-    assert!(
-        !scale.cost.per_commit.is_zero(),
-        "the sharding driver needs a non-zero sync latency (cost.per_commit)"
-    );
-    let data = scale.data();
-    let mut cfg = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    cfg.shards = shards;
-    cfg.wal_group_commit = false;
-    let engine = data.build_engine(cfg);
-    engine
-        .setup(&point_seed_script(&data))
-        .expect("valid seed script");
-    engine.setup(shard_index_script()).expect("valid index DDL");
-    let mut sched = scheduler_for(engine, connections);
-    let programs = generate_shard_mix(&data, scale.txns, cross_pct, shards, scale.seed);
-    let n = programs.len();
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    let seconds = start.elapsed().as_secs_f64();
-    let scaling = scaling_point(
-        Point {
-            label: format!("shards={shards} cross={cross_pct}%"),
-            x: connections as f64,
-            seconds,
-            committed: stats.committed,
-            failed: n - stats.committed,
-            syncs: stats.syncs,
-        },
-        connections,
-    );
-    ShardingPoint {
-        scaling,
-        cross_shard_commits: stats.cross_shard_commits,
-        cross_shard_prepares: stats.cross_shard_prepares,
-        shard_syncs: stats.shard_syncs.clone(),
-        deadlocks: stats.deadlocks,
-        timeouts: stats.timeouts,
-        deadlock_victims: stats.deadlock_victims,
-        detection_probes: stats.detection_probes,
-    }
-}
-
-/// Outcome of the `auditgraph` driver: the serialized lock-order graph
-/// (with its offline cycle report) plus the contention counters of the
-/// run that produced it.
-#[derive(Debug, Clone)]
-pub struct AuditGraphReport {
-    /// `{"edges": [...], "cycles": [...]}` from the engine's protocol
-    /// auditor, or `None` when this build runs unaudited (release
-    /// without the `audit` feature).
-    pub graph_json: Option<String>,
-    /// Lock-protocol events the auditor checked online (0 unaudited).
-    pub audit_events: u64,
-    /// Waits-for cycles broken by victim selection.
-    pub deadlocks: u64,
-    /// Expired lock waits (where cross-shard cycles surface).
-    pub timeouts: u64,
-    pub committed: usize,
-}
-
-/// The `auditgraph` driver: run the contended 50%-cross-shard mix on a
-/// 4-shard engine — the workload with the richest resource-ordering
-/// graph, since cross-shard units interleave table, index-key, and row
-/// locks on two shards at once — then serialize the auditor's
-/// accumulated lock-order graph and cycle report. CI uploads the result
-/// (`AUDIT_lock_graph.json`) next to the BENCH baselines.
-pub fn run_audit_graph(scale: &Scale) -> AuditGraphReport {
-    let shards = 4;
-    let data = scale.data();
-    let mut cfg = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    cfg.shards = shards;
-    let engine = data.build_engine(cfg);
-    engine
-        .setup(&point_seed_script(&data))
-        .expect("valid seed script");
-    engine.setup(shard_index_script()).expect("valid index DDL");
-    let mut sched = scheduler_for(std::sync::Arc::clone(&engine), 8);
-    let programs = generate_shard_mix(&data, scale.txns, SHARDING_CROSS_PCT, shards, scale.seed);
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    AuditGraphReport {
-        graph_json: engine.lock_order_graph_json(),
-        audit_events: engine.audit_events(),
-        deadlocks: engine.deadlocks(),
-        timeouts: engine.timeouts(),
-        committed: stats.committed,
-    }
-}
-
-/// The `sharding` experiment: the shard-local mix and the 50%-cross mix
-/// over [`SHARDING_SHARD_COUNTS`] × [`SHARDING_CONNECTIONS`]. The
-/// acceptance targets are 4-shard local throughput ≥ 1.5× 1-shard at 8
-/// connections, parity at 1 connection, and a measurable cross-shard tax
-/// (local over cross at 4 shards).
-pub fn run_sharding_series(scale: &Scale) -> Vec<ShardingSeries> {
-    let mut out = Vec::new();
-    for &cross_pct in &[0u32, SHARDING_CROSS_PCT] {
-        for &shards in &SHARDING_SHARD_COUNTS {
-            let points = SHARDING_CONNECTIONS
-                .iter()
-                .map(|&c| run_sharding(scale, shards, c, cross_pct))
-                .collect();
-            out.push(ShardingSeries {
-                label: format!(
-                    "{} shards={shards}",
-                    if cross_pct == 0 { "local" } else { "cross" }
-                ),
-                shards,
-                cross_pct,
-                points,
-            });
-        }
-    }
-    out
-}
-
-/// Throughput of one series at a given connection count (0.0 if absent).
-fn sharding_tps_at(series: &[ShardingSeries], shards: usize, cross_pct: u32, conns: usize) -> f64 {
-    series
-        .iter()
-        .find(|s| s.shards == shards && s.cross_pct == cross_pct)
-        .and_then(|s| s.points.iter().find(|p| p.scaling.connections == conns))
-        .map_or(0.0, |p| p.scaling.txns_per_sec)
-}
-
-/// The headline acceptance figure: shard-local throughput at 4 shards
-/// over 1 shard, at 8 connections.
-pub fn sharding_local_speedup(series: &[ShardingSeries]) -> f64 {
-    let (four, one) = (
-        sharding_tps_at(series, 4, 0, 8),
-        sharding_tps_at(series, 1, 0, 8),
-    );
-    if one > 0.0 {
-        four / one
-    } else {
-        0.0
-    }
-}
-
-/// The cross-shard commit tax: local over 50%-cross throughput at 4
-/// shards and 8 connections (> 1 — prepares sync every participant).
-pub fn sharding_cross_tax(series: &[ShardingSeries]) -> f64 {
-    let (local, cross) = (
-        sharding_tps_at(series, 4, 0, 8),
-        sharding_tps_at(series, 4, SHARDING_CROSS_PCT, 8),
-    );
-    if cross > 0.0 {
-        local / cross
-    } else {
-        0.0
-    }
-}
-
-/// Serialize sharding series as the `BENCH_sharding.json` baseline
-/// tracked as a CI artifact (the [`scaling_json`] shape plus the
-/// cross-shard counters and the per-shard sync spread per point).
-pub fn sharding_json(scale: &Scale, series: &[ShardingSeries]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"sharding\",\n");
-    out.push_str(&format!("  \"txns_per_point\": {},\n", scale.txns));
-    out.push_str(&format!(
-        "  \"sync_latency_us\": {},\n",
-        scale.cost.per_commit.as_micros()
-    ));
-    out.push_str(&format!("  \"cross_pct\": {SHARDING_CROSS_PCT},\n"));
-    out.push_str(&format!(
-        "  \"local_4_over_1_at_8\": {:.3},\n",
-        sharding_local_speedup(series)
-    ));
-    out.push_str(&format!(
-        "  \"cross_tax_at_4_shards\": {:.3},\n  \"series\": [\n",
-        sharding_cross_tax(series)
-    ));
-    for (si, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"label\": \"{}\",\n      \"shards\": {},\n      \"cross_pct\": {},\n      \"speedup_max_over_1\": {:.3},\n      \"points\": [\n",
-            s.label,
-            s.shards,
-            s.cross_pct,
-            scaling_speedup(&s.points.iter().map(|p| p.scaling.clone()).collect::<Vec<_>>())
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            let syncs: Vec<String> = p.shard_syncs.iter().map(|n| n.to_string()).collect();
-            out.push_str(&format!(
-                "        {{\"connections\": {}, \"seconds\": {:.6}, \"committed\": {}, \"failed\": {}, \"txns_per_sec\": {:.3}, \"syncs_per_commit\": {:.4}, \"cross_shard_commits\": {}, \"cross_shard_prepares\": {}, \"deadlocks\": {}, \"timeouts\": {}, \"deadlock_victims\": {}, \"detection_probes\": {}, \"shard_syncs\": [{}]}}{}\n",
-                p.scaling.connections,
-                p.scaling.seconds,
-                p.scaling.committed,
-                p.scaling.failed,
-                p.scaling.txns_per_sec,
-                p.scaling.syncs_per_commit,
-                p.cross_shard_commits,
-                p.cross_shard_prepares,
-                p.deadlocks,
-                p.timeouts,
-                p.deadlock_victims,
-                p.detection_probes,
-                syncs.join(", "),
-                if pi + 1 < s.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if si + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Shard count of the `hotcycle` driver (the acceptance point).
-pub const HOTCYCLE_SHARDS: usize = 4;
-
-/// Connection count of the `hotcycle` driver.
-pub const HOTCYCLE_CONNECTIONS: usize = 8;
-
-/// Hot-row pool size — small enough that opposite-order collisions (and
-/// therefore cross-shard cycles) are routine, not rare.
-pub const HOTCYCLE_HOT_ROWS: usize = 2;
-
-/// One arm of the `hotcycle` experiment: the deadlock-prone hot-row mix
-/// under one [`DeadlockPolicy`].
-#[derive(Debug, Clone)]
-pub struct HotCycleArm {
-    pub label: String,
-    pub seconds: f64,
-    pub committed: usize,
-    pub txns_per_sec: f64,
-    /// Waits-for cycles broken by victim selection (local + global).
-    pub deadlocks: u64,
-    /// Expired lock waits — the acceptance target is **zero** on the
-    /// detect arm: every cycle must die by explicit conviction, never by
-    /// waiting out the clock.
-    pub timeouts: u64,
-    /// Cross-shard detector convictions.
-    pub deadlock_victims: u64,
-    /// Edge-chasing probes launched by blocked waiters.
-    pub detection_probes: u64,
-    /// Median blocked-lock-wait time (µs), over waits that slept.
-    pub p50_block_us: u64,
-    /// 99th-percentile blocked-lock-wait time (µs). On the timeout arm
-    /// this sits at the full `lock_timeout`; detection pulls it down to
-    /// the probe cadence.
-    pub p99_block_us: u64,
-    pub max_block_us: u64,
-}
-
-/// Outcome of the `hotcycle` driver: the same mix measured with global
-/// detection on and off.
-#[derive(Debug, Clone)]
-pub struct HotCycleReport {
-    pub detect: HotCycleArm,
-    pub timeout: HotCycleArm,
-}
-
-impl HotCycleReport {
-    /// The headline figure: detect-arm committed-txns/sec over the
-    /// timeout-only ablation (acceptance: ≥ 2).
-    pub fn detect_speedup(&self) -> f64 {
-        if self.timeout.txns_per_sec > 0.0 {
-            self.detect.txns_per_sec / self.timeout.txns_per_sec
-        } else {
-            0.0
-        }
-    }
-}
-
-/// `samples.len() * p`-th order statistic (0 on an empty set).
-fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 - 1.0) * p).round() as usize;
-    samples[idx.min(samples.len() - 1)]
-}
-
-/// Measure one `hotcycle` arm: the hot-row opposite-order mix at
-/// [`HOTCYCLE_SHARDS`] shards and [`HOTCYCLE_CONNECTIONS`] connections
-/// under the given deadlock policy. Victims and timeouts both retry
-/// through the scheduler, so the arms commit the same work — they
-/// differ only in how long each cycle stalls before someone aborts.
-pub fn run_hotcycle_arm(scale: &Scale, policy: DeadlockPolicy) -> HotCycleArm {
-    let data = scale.data();
-    let mut cfg = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    cfg.shards = HOTCYCLE_SHARDS;
-    cfg.deadlock = policy;
-    let engine = data.build_engine(cfg);
-    engine
-        .setup(&point_seed_script(&data))
-        .expect("valid seed script");
-    engine.setup(shard_index_script()).expect("valid index DDL");
-    let mut sched = scheduler_for(std::sync::Arc::clone(&engine), HOTCYCLE_CONNECTIONS);
-    // Half the usual point budget: cycle stalls (not statement cost)
-    // dominate this driver, and the timeout arm pays 250 ms per cycle.
-    let count = (scale.txns / 2).max(50);
-    let programs = generate_hot_cycle(&data, count, HOTCYCLE_HOT_ROWS, HOTCYCLE_SHARDS, scale.seed);
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    let seconds = start.elapsed().as_secs_f64();
-    let mut waits = engine.lock_wait_micros();
-    HotCycleArm {
-        label: match policy {
-            DeadlockPolicy::Detect => "detect".to_string(),
-            DeadlockPolicy::Timeout => "timeout".to_string(),
-        },
-        seconds,
-        committed: stats.committed,
-        txns_per_sec: if seconds > 0.0 {
-            stats.committed as f64 / seconds
-        } else {
-            0.0
-        },
-        deadlocks: stats.deadlocks,
-        timeouts: stats.timeouts,
-        deadlock_victims: stats.deadlock_victims,
-        detection_probes: stats.detection_probes,
-        p50_block_us: percentile_us(&mut waits, 0.50),
-        p99_block_us: percentile_us(&mut waits, 0.99),
-        max_block_us: waits.last().copied().unwrap_or(0),
-    }
-}
-
-/// The `hotcycle` experiment: detection versus the timeout-only
-/// ablation on the same deadlock-prone mix.
-pub fn run_hotcycle(scale: &Scale) -> HotCycleReport {
-    HotCycleReport {
-        detect: run_hotcycle_arm(scale, DeadlockPolicy::Detect),
-        timeout: run_hotcycle_arm(scale, DeadlockPolicy::Timeout),
-    }
-}
-
-/// Serialize the hotcycle report as the `BENCH_deadlock.json` baseline
-/// tracked as a CI artifact.
-pub fn hotcycle_json(scale: &Scale, report: &HotCycleReport) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"hotcycle\",\n");
-    out.push_str(&format!(
-        "  \"shards\": {HOTCYCLE_SHARDS},\n  \"connections\": {HOTCYCLE_CONNECTIONS},\n  \"hot_rows\": {HOTCYCLE_HOT_ROWS},\n"
-    ));
-    out.push_str(&format!(
-        "  \"txns_per_arm\": {},\n",
-        (scale.txns / 2).max(50)
-    ));
-    out.push_str(&format!(
-        "  \"detect_speedup_over_timeout\": {:.3},\n  \"arms\": [\n",
-        report.detect_speedup()
-    ));
-    let arms = [&report.detect, &report.timeout];
-    for (i, a) in arms.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"seconds\": {:.6}, \"committed\": {}, \"txns_per_sec\": {:.3}, \"deadlocks\": {}, \"timeouts\": {}, \"deadlock_victims\": {}, \"detection_probes\": {}, \"p50_block_us\": {}, \"p99_block_us\": {}, \"max_block_us\": {}}}{}\n",
-            a.label,
-            a.seconds,
-            a.committed,
-            a.txns_per_sec,
-            a.deadlocks,
-            a.timeouts,
-            a.deadlock_victims,
-            a.detection_probes,
-            a.p50_block_us,
-            a.p99_block_us,
-            a.max_block_us,
-            if i + 1 < arms.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One measured point of the `recovery` driver: restart cost after a
-/// crash at a given transaction count.
-#[derive(Debug, Clone)]
-pub struct RecoveryPoint {
-    /// Transactions submitted before the crash.
-    pub txns: usize,
-    pub committed: usize,
-    /// Bytes a restart must read (the retained device contents) — bounded
-    /// by checkpoint truncation, O(history) without it.
-    pub retained_log_bytes: u64,
-    /// Logical log length (total bytes ever appended; monotone).
-    pub logical_log_bytes: u64,
-    /// Wall time of one `recover()` pass over the durable log (best of
-    /// several, microseconds).
-    pub recovery_micros: f64,
-    /// Records replayed after the base image (equals the whole log when
-    /// checkpointing is off).
-    pub replayed_records: usize,
-    /// Checkpoint images written before the crash.
-    pub checkpoints: u64,
-}
-
-/// One `recovery` driver series: the classical Figure 6(a) mix with
-/// checkpointing (and WAL truncation) on or off.
-#[derive(Debug, Clone)]
-pub struct RecoverySeries {
-    pub label: String,
-    pub checkpointing: bool,
-    pub points: Vec<RecoveryPoint>,
-}
-
-/// Measure one crash-recovery point: run `txns` classical transactions
-/// (zero cost model — the workload only exists to grow the log), crash,
-/// and time recovery from the durable prefix.
-pub fn run_recovery(scale: &Scale, txns: usize, checkpointing: bool) -> RecoveryPoint {
-    let data = scale.data();
-    let engine = data.build_engine(engine_config(
-        WorkloadMode::Transactional,
-        CostModel::ZERO,
-        false,
-    ));
-    let checkpoint = if checkpointing {
-        // Reclaim every 4 runs, or sooner if a run published a lot —
-        // whichever cadence fires first (both knobs exercised).
-        CheckpointPolicy {
-            every_runs: Some(4),
-            every_bytes: Some(64 * 1024),
-            truncate: true,
-        }
-    } else {
-        CheckpointPolicy::DISABLED
-    };
-    let mut sched = Scheduler::new(
-        engine.clone(),
-        SchedulerConfig {
-            connections: 4,
-            // Many small runs => many settle boundaries (checkpoint
-            // sites) and several commit batches per point.
-            trigger: RunTrigger::Arrivals(25),
-            max_attempts: 50,
-            checkpoint,
-        },
-    );
-    let programs = generate(Family::NoSocial, &data, txns, scale.seed);
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-
-    // Power loss, then time the recovery scan+replay (best of 5 to shave
-    // scheduler noise; the work is deterministic).
-    engine.wal.crash();
-    let records = engine.wal.durable_records().expect("clean log");
-    let mut best = f64::INFINITY;
-    let mut replayed = 0usize;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        let out = youtopia_wal::recover(&records).expect("clean log");
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        best = best.min(us);
-        replayed = out.replayed;
-        std::hint::black_box(&out.db);
-    }
-    RecoveryPoint {
-        txns,
-        committed: stats.committed,
-        retained_log_bytes: engine.wal.retained_len(),
-        logical_log_bytes: engine.wal.len(),
-        recovery_micros: best,
-        replayed_records: replayed,
-        checkpoints: stats.checkpoints,
-    }
-}
-
-/// Transaction counts measured by the `recovery` driver, scaled from
-/// `scale.txns`: restart cost is plotted against a growing history.
-pub fn recovery_txn_counts(scale: &Scale) -> Vec<usize> {
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&m| (scale.txns * m / 4).max(16))
-        .collect()
-}
-
-/// The `recovery` experiment: durable log length and recovery wall time
-/// vs. transaction count, with checkpointing on and off. With
-/// checkpoints the retained log and replay cost are O(delta since the
-/// last image) — flat as history grows; without them both are
-/// O(history).
-pub fn run_recovery_series(scale: &Scale) -> Vec<RecoverySeries> {
-    [true, false]
-        .iter()
-        .map(|&checkpointing| RecoverySeries {
-            label: format!(
-                "NoSocial-T ckpt={}",
-                if checkpointing { "on" } else { "off" }
-            ),
-            checkpointing,
-            points: recovery_txn_counts(scale)
-                .into_iter()
-                .map(|n| run_recovery(scale, n, checkpointing))
-                .collect(),
-        })
-        .collect()
-}
-
-/// Serialize recovery series as the `BENCH_recovery.json` baseline
-/// tracked as a CI artifact.
-pub fn recovery_json(scale: &Scale, series: &[RecoverySeries]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"recovery\",\n");
-    out.push_str(&format!(
-        "  \"max_txns\": {},\n  \"series\": [\n",
-        scale.txns
-    ));
-    for (si, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"label\": \"{}\",\n      \"checkpointing\": {},\n      \"points\": [\n",
-            s.label, s.checkpointing
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"txns\": {}, \"committed\": {}, \"retained_log_bytes\": {}, \"logical_log_bytes\": {}, \"recovery_micros\": {:.2}, \"replayed_records\": {}, \"checkpoints\": {}}}{}\n",
-                p.txns,
-                p.committed,
-                p.retained_log_bytes,
-                p.logical_log_bytes,
-                p.recovery_micros,
-                p.replayed_records,
-                p.checkpoints,
-                if pi + 1 < s.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if si + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Ablation configurations (DESIGN.md Ab1–Ab4).
+/// Ablation configurations (DESIGN.md Ab2–Ab4; Ab1 is the run trigger,
+/// which [`run_fig6b`]'s `f` already sweeps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ablation {
     GroupCommitOff,
@@ -1489,8 +217,8 @@ pub enum Ablation {
 /// Note: `TableGranularity` + `Family::Entangled` livelocks by design —
 /// partners insert into the same `Reserve` table, and a table-X lock held
 /// to a group commit that cannot happen without the partner is a structural
-/// standoff (documented as a negative result in EXPERIMENTS.md). Measure
-/// that ablation on `NoSocial`/`Social`.
+/// standoff (the negative result in DESIGN.md "Ablations"). Measure that
+/// ablation on `NoSocial`/`Social`.
 pub fn run_ablated(
     scale: &Scale,
     ablation: Option<Ablation>,
@@ -1498,49 +226,40 @@ pub fn run_ablated(
     connections: usize,
 ) -> Point {
     let data = scale.data();
-    let mut cfg: EngineConfig = engine_config(WorkloadMode::Transactional, scale.cost, false);
-    match ablation {
-        Some(Ablation::GroupCommitOff) => cfg.isolation = IsolationMode::AllowWidows,
+    let mut config = engine_config(WorkloadMode::Transactional, scale.cost, false);
+    let label = match ablation {
+        None => "baseline",
+        Some(Ablation::GroupCommitOff) => {
+            config.isolation = IsolationMode::AllowWidows;
+            "group-commit-off"
+        }
         Some(Ablation::SolverGeneralOnly) => {
-            cfg.solver = SolverConfig {
+            config.solver = SolverConfig {
                 pairwise_fast_path: false,
                 ..SolverConfig::default()
-            }
+            };
+            "solver-general"
         }
-        Some(Ablation::TableGranularity) => cfg.granularity = LockGranularity::Table,
-        None => {}
-    }
-    let engine = data.build_engine(cfg);
-    // Few retries: ablated configurations that livelock should fail fast
-    // rather than grind through the default retry budget.
-    let mut sched = Scheduler::new(
-        engine,
-        SchedulerConfig {
-            connections,
-            trigger: RunTrigger::Manual,
-            max_attempts: 8,
-            checkpoint: CheckpointPolicy::DISABLED,
-        },
-    );
-    let programs = generate(family, &data, scale.txns, scale.seed);
-    let start = Instant::now();
-    for p in programs {
-        sched.submit(p);
-    }
-    let stats = sched.drain();
-    Point {
-        label: match ablation {
-            None => "baseline".into(),
-            Some(Ablation::GroupCommitOff) => "group-commit-off".into(),
-            Some(Ablation::SolverGeneralOnly) => "solver-general".into(),
-            Some(Ablation::TableGranularity) => "table-locks".into(),
-        },
+        Some(Ablation::TableGranularity) => {
+            config.granularity = LockGranularity::Table;
+            "table-locks"
+        }
+    };
+    let exp = Experiment {
+        label: label.into(),
         x: connections as f64,
-        seconds: start.elapsed().as_secs_f64(),
-        committed: stats.committed,
-        failed: stats.failed,
-        syncs: stats.syncs,
-    }
+        config,
+        // Few retries: ablated configurations that livelock should fail
+        // fast rather than grind through the default retry budget.
+        scheduler: SchedulerConfig {
+            connections,
+            max_attempts: 8,
+            ..SchedulerConfig::default()
+        },
+        programs: generate(family, &data, scale.txns, scale.seed),
+        until_committed: None,
+    };
+    run(&data, exp)
 }
 
 #[cfg(test)]
@@ -1565,6 +284,7 @@ mod tests {
             for mode in [WorkloadMode::Transactional, WorkloadMode::QueryOnly] {
                 let p = run_fig6a(&s, family, mode, 4);
                 assert!(p.committed >= 20, "{} {:?}: {p:?}", family.label(), mode);
+                assert_eq!(p.committed + p.failed, 24, "drain settles everyone");
             }
         }
     }
@@ -1602,682 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn scaling_speedup_at_8_connections_on_classical_mix() {
-        // The ISSUE-2 acceptance criterion: with a non-zero cost model,
-        // 8 connections must commit at ≥ 2× the single-connection
-        // throughput on the classical Figure 6(a) mix. Sleep-dominated
-        // statements make this timing-robust (ideal speedup is ~8×).
-        let scale = Scale {
-            txns: 48,
-            users: 60,
-            cities: 4,
-            flights: 80,
-            cost: CostModel {
-                per_statement: Duration::from_millis(2),
-                per_entangled_eval: Duration::ZERO,
-                per_commit: Duration::ZERO,
-            },
-            seed: 4,
-        };
-        let points: Vec<ScalingPoint> = [1usize, 8]
-            .iter()
-            .map(|&c| run_scaling(&scale, Family::NoSocial, WorkloadMode::Transactional, c))
-            .collect();
-        assert_eq!(points[0].committed, 48);
-        assert_eq!(points[1].committed, 48);
-        let speedup = scaling_speedup(&points);
-        assert!(
-            speedup >= 2.0,
-            "connections=8 only {speedup:.2}x over connections=1 ({points:?})"
-        );
-    }
-
-    #[test]
-    fn group_commit_amortizes_syncs_below_one_per_commit() {
-        // The ISSUE-3 acceptance criterion: with the group-commit pipeline
-        // on, syncs-per-commit < 1 at connections >= 4; off, every commit
-        // pays its own serialized sync (>= 1). The 2ms sync latency makes
-        // batching windows wide enough to be timing-robust.
-        let scale = Scale {
-            txns: 48,
-            users: 60,
-            cities: 4,
-            flights: 80,
-            cost: CostModel {
-                per_statement: Duration::ZERO,
-                per_entangled_eval: Duration::ZERO,
-                per_commit: Duration::from_millis(2),
-            },
-            seed: 4,
-        };
-        for family in [Family::NoSocial, Family::Entangled] {
-            let on = scaling_point(
-                run_fig6a_configured(&scale, family, WorkloadMode::Transactional, 4, true),
-                4,
-            );
-            assert_eq!(on.committed, 48, "{}: {on:?}", family.label());
-            assert!(
-                on.syncs_per_commit < 1.0,
-                "{}: expected amortization, got {:.3} syncs/commit",
-                family.label(),
-                on.syncs_per_commit
-            );
-        }
-        let off = scaling_point(
-            run_fig6a_configured(
-                &scale,
-                Family::NoSocial,
-                WorkloadMode::Transactional,
-                4,
-                false,
-            ),
-            4,
-        );
-        assert!(
-            off.syncs_per_commit >= 1.0,
-            "without group commit every classical commit syncs: {off:?}"
-        );
-        // Entangled pairs without the pipeline: one serialized sync per
-        // commit group (the paper's §4 amortization and nothing more).
-        let off_ent = scaling_point(
-            run_fig6a_configured(
-                &scale,
-                Family::Entangled,
-                WorkloadMode::Transactional,
-                4,
-                false,
-            ),
-            4,
-        );
-        assert!(
-            off_ent.syncs_per_commit >= 0.5,
-            "without the pipeline a pair costs one sync: {off_ent:?}"
-        );
-    }
-
-    #[test]
-    fn readscale_driver_snapshot_reads_beat_the_lock_ablation() {
-        // The ISSUE-5 acceptance criterion, in miniature: on the
-        // read-mostly mix, taking readers off the lock manager must not
-        // lose transactions and must not be slower than S-lock reads.
-        // (The full ≥ 1.5× figure is measured by `repro readscale` at
-        // bench scale; at this timing-robust test scale we assert
-        // completion plus a strict win.)
-        let scale = Scale {
-            txns: 60,
-            users: 60,
-            cities: 4,
-            flights: 80,
-            cost: CostModel {
-                per_statement: Duration::from_millis(1),
-                per_entangled_eval: Duration::ZERO,
-                per_commit: Duration::from_millis(1),
-            },
-            seed: 4,
-        };
-        let on = run_readscale(&scale, 8, true);
-        assert_eq!(on.committed, 60, "snapshot mix commits everything: {on:?}");
-        let off = run_readscale(&scale, 8, false);
-        assert!(
-            on.txns_per_sec > off.txns_per_sec,
-            "snapshot reads must outscale S-lock reads: on={:.1} off={:.1}",
-            on.txns_per_sec,
-            off.txns_per_sec
-        );
-    }
-
-    #[test]
-    fn readscale_json_is_well_formed() {
-        let scale = Scale::quick();
-        let series = vec![
-            ReadscaleSeries {
-                label: "readmix snapshot=on".into(),
-                snapshot_reads: true,
-                points: vec![ScalingPoint {
-                    connections: 8,
-                    seconds: 0.5,
-                    committed: 100,
-                    failed: 0,
-                    txns_per_sec: 200.0,
-                    syncs_per_commit: 0.1,
-                }],
-            },
-            ReadscaleSeries {
-                label: "readmix snapshot=off".into(),
-                snapshot_reads: false,
-                points: vec![ScalingPoint {
-                    connections: 8,
-                    seconds: 1.0,
-                    committed: 100,
-                    failed: 0,
-                    txns_per_sec: 100.0,
-                    syncs_per_commit: 0.1,
-                }],
-            },
-        ];
-        assert_eq!(readscale_speedup(&series), 2.0);
-        let json = readscale_json(&scale, &series);
-        assert!(json.contains("\"experiment\": \"readscale\""));
-        assert!(json.contains("\"snapshot_reads\": true"));
-        assert!(json.contains("\"snapshot_on_over_off_at_max\": 2.000"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    #[test]
-    fn pointmix_driver_index_beats_the_scan_ablation() {
-        // The acceptance criterion, in miniature: on the point-access
-        // mix the named index must not lose transactions, must beat the
-        // scan ablation at 8 connections, and must cut rows-scanned per
-        // point statement from O(table) to O(1). (The full ≥ 3× figure
-        // is measured by `repro pointmix` at bench scale.)
-        let scale = Scale {
-            txns: 48,
-            users: 60,
-            cities: 4,
-            flights: 80,
-            cost: CostModel {
-                per_statement: Duration::from_millis(1),
-                per_entangled_eval: Duration::ZERO,
-                per_commit: Duration::ZERO,
-            },
-            seed: 4,
-        };
-        let on = run_pointmix(&scale, 8, true);
-        assert_eq!(
-            on.scaling.committed, 48,
-            "indexed mix commits everything: {on:?}"
-        );
-        let off = run_pointmix(&scale, 8, false);
-        assert!(
-            on.scaling.txns_per_sec > off.scaling.txns_per_sec,
-            "index plans must outscale heap scans: on={:.1} off={:.1}",
-            on.scaling.txns_per_sec,
-            off.scaling.txns_per_sec
-        );
-        // O(1) vs O(table): every point statement probes ≤ a couple of
-        // rows indexed, and at least half the (60-row) table unindexed.
-        assert!(
-            on.rows_per_statement < 4.0,
-            "indexed point statements must be O(1): {on:?}"
-        );
-        assert!(
-            off.rows_per_statement > 30.0,
-            "unindexed point statements scan the heap: {off:?}"
-        );
-        assert!(on.index_lookups > 0 && off.index_lookups == 0);
-    }
-
-    #[test]
-    fn rangemix_driver_range_plans_beat_the_forced_scan_ablation() {
-        // The acceptance criterion, in miniature: on the range-heavy mix
-        // the btree indexes must not lose transactions, must beat the
-        // forced-scan ablation at 8 connections, and the snapshot
-        // dashboards must be served by live-index probes — zero
-        // per-snapshot rebuilds, counter-verified. (The full ≥ 3× figure
-        // is measured by `repro rangemix` at bench scale.)
-        let scale = Scale {
-            txns: 48,
-            users: 60,
-            cities: 4,
-            flights: 96,
-            cost: CostModel {
-                per_statement: Duration::from_millis(1),
-                per_entangled_eval: Duration::ZERO,
-                per_commit: Duration::ZERO,
-            },
-            seed: 4,
-        };
-        let on = run_rangemix(&scale, 8, true);
-        assert_eq!(
-            on.scaling.committed, 48,
-            "indexed mix commits everything: {on:?}"
-        );
-        let off = run_rangemix(&scale, 8, false);
-        assert!(
-            on.scaling.txns_per_sec > off.scaling.txns_per_sec,
-            "range plans must outscale forced scans: on={:.1} off={:.1}",
-            on.scaling.txns_per_sec,
-            off.scaling.txns_per_sec
-        );
-        // O(window) vs O(table): windows match ~96*3/64 ≈ 5 rows each.
-        assert!(
-            on.rows_per_statement < off.rows_per_statement / 2.0,
-            "indexed windows must touch far fewer rows: on={:.1} off={:.1}",
-            on.rows_per_statement,
-            off.rows_per_statement
-        );
-        assert!(on.index_lookups > 0 && off.index_lookups == 0);
-        // The index-aware MVCC claim: every snapshot dashboard probed the
-        // live index (one avoided rebuild each); the ablation, with no
-        // index to probe, avoided nothing — and more to the point had
-        // nothing to rebuild either.
-        assert!(
-            on.index_rebuilds_avoided > 0,
-            "snapshot windows must be served by live-index probes: {on:?}"
-        );
-        assert_eq!(
-            off.index_rebuilds_avoided, 0,
-            "the forced-scan ablation has no index to probe: {off:?}"
-        );
-    }
-
-    #[test]
-    fn rangemix_json_is_well_formed() {
-        let scale = Scale::quick();
-        let point = |tps: f64, avoided: u64| RangemixPoint {
-            scaling: ScalingPoint {
-                connections: 8,
-                seconds: 0.5,
-                committed: 100,
-                failed: 0,
-                txns_per_sec: tps,
-                syncs_per_commit: 0.1,
-            },
-            rows_scanned: 500,
-            index_lookups: if avoided > 0 { 200 } else { 0 },
-            index_rebuilds_avoided: avoided,
-            rows_per_statement: 2.5,
-        };
-        let series = vec![
-            RangemixSeries {
-                label: "rangemix index=on".into(),
-                indexed: true,
-                points: vec![point(400.0, 70)],
-            },
-            RangemixSeries {
-                label: "rangemix index=off".into(),
-                indexed: false,
-                points: vec![point(100.0, 0)],
-            },
-        ];
-        assert_eq!(rangemix_speedup(&series), 4.0);
-        let json = rangemix_json(&scale, &series);
-        assert!(json.contains("\"experiment\": \"rangemix\""));
-        assert!(json.contains("\"indexed_over_forced_scan_at_max\": 4.000"));
-        assert!(json.contains("\"index_rebuilds_avoided\": 70"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    #[test]
-    fn pointmix_json_is_well_formed() {
-        let scale = Scale::quick();
-        let point = |tps: f64, rows: u64, lookups: u64| PointmixPoint {
-            scaling: ScalingPoint {
-                connections: 8,
-                seconds: 0.5,
-                committed: 100,
-                failed: 0,
-                txns_per_sec: tps,
-                syncs_per_commit: 0.1,
-            },
-            rows_scanned: rows,
-            index_lookups: lookups,
-            rows_per_statement: rows as f64 / 200.0,
-        };
-        let series = vec![
-            PointmixSeries {
-                label: "pointmix index=on".into(),
-                indexed: true,
-                points: vec![point(300.0, 240, 400)],
-            },
-            PointmixSeries {
-                label: "pointmix index=off".into(),
-                indexed: false,
-                points: vec![point(100.0, 60_000, 0)],
-            },
-        ];
-        assert_eq!(pointmix_speedup(&series), 3.0);
-        let json = pointmix_json(&scale, &series);
-        assert!(json.contains("\"experiment\": \"pointmix\""));
-        assert!(json.contains("\"indexed\": true"));
-        assert!(json.contains("\"indexed\": false"));
-        assert!(json.contains("\"indexed_over_noindex_at_max\": 3.000"));
-        assert!(json.contains("\"rows_per_statement\": 1.200"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    #[test]
-    fn recovery_driver_shows_bounded_restart_with_checkpoints() {
-        // The ISSUE-4 acceptance criterion, in miniature: at the same
-        // history length, checkpointing leaves a strictly smaller
-        // retained log and replays strictly fewer records than full
-        // replay — the O(history) -> O(delta) restart win.
-        let s = Scale { txns: 64, ..tiny() };
-        let n = *recovery_txn_counts(&s).last().unwrap();
-        let on = run_recovery(&s, n, true);
-        let off = run_recovery(&s, n, false);
-        assert_eq!(on.committed, n, "{on:?}");
-        assert_eq!(off.committed, n, "{off:?}");
-        assert!(on.checkpoints >= 1, "cadence must fire: {on:?}");
-        assert_eq!(off.checkpoints, 0);
-        assert!(
-            on.retained_log_bytes < off.retained_log_bytes,
-            "checkpoint truncation must bound the log: {} vs {}",
-            on.retained_log_bytes,
-            off.retained_log_bytes
-        );
-        assert!(
-            on.replayed_records < off.replayed_records,
-            "checkpointed recovery must replay a suffix: {} vs {}",
-            on.replayed_records,
-            off.replayed_records
-        );
-        // Without checkpoints the logical and retained lengths coincide.
-        assert_eq!(off.retained_log_bytes, off.logical_log_bytes);
-    }
-
-    #[test]
-    fn recovery_json_is_well_formed() {
-        let s = Scale::quick();
-        let series = vec![
-            RecoverySeries {
-                label: "NoSocial-T ckpt=on".into(),
-                checkpointing: true,
-                points: vec![RecoveryPoint {
-                    txns: 100,
-                    committed: 100,
-                    retained_log_bytes: 2048,
-                    logical_log_bytes: 8192,
-                    recovery_micros: 12.5,
-                    replayed_records: 7,
-                    checkpoints: 3,
-                }],
-            },
-            RecoverySeries {
-                label: "NoSocial-T ckpt=off".into(),
-                checkpointing: false,
-                points: vec![RecoveryPoint {
-                    txns: 100,
-                    committed: 100,
-                    retained_log_bytes: 8192,
-                    logical_log_bytes: 8192,
-                    recovery_micros: 80.0,
-                    replayed_records: 500,
-                    checkpoints: 0,
-                }],
-            },
-        ];
-        let json = recovery_json(&s, &series);
-        assert!(json.contains("\"experiment\": \"recovery\""));
-        assert!(json.contains("\"checkpointing\": true"));
-        assert!(json.contains("\"checkpointing\": false"));
-        assert!(json.contains("\"replayed_records\": 7"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    #[test]
-    fn durability_json_is_well_formed() {
-        let scale = Scale::quick();
-        let series = vec![DurabilitySeries {
-            label: "NoSocial-T gc=on".into(),
-            family: Family::NoSocial,
-            group_commit: true,
-            points: vec![ScalingPoint {
-                connections: 4,
-                seconds: 0.5,
-                committed: 100,
-                failed: 0,
-                txns_per_sec: 200.0,
-                syncs_per_commit: 0.4,
-            }],
-        }];
-        let json = durability_json(&scale, &series);
-        assert!(json.contains("\"experiment\": \"durability\""));
-        assert!(json.contains("\"group_commit\": true"));
-        assert!(json.contains("\"syncs_per_commit\": 0.4000"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-    }
-
-    #[test]
-    fn scaling_json_is_well_formed() {
-        let scale = Scale::quick();
-        let series = vec![(
-            "NoSocial-T".to_string(),
-            vec![
-                ScalingPoint {
-                    connections: 1,
-                    seconds: 1.0,
-                    committed: 100,
-                    failed: 0,
-                    txns_per_sec: 100.0,
-                    syncs_per_commit: 1.0,
-                },
-                ScalingPoint {
-                    connections: 8,
-                    seconds: 0.25,
-                    committed: 100,
-                    failed: 0,
-                    txns_per_sec: 400.0,
-                    syncs_per_commit: 0.25,
-                },
-            ],
-        )];
-        let json = scaling_json(&scale, &series);
-        assert!(json.contains("\"experiment\": \"scaling\""));
-        assert!(json.contains("\"speedup_max_over_1\": 4.000"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    /// Sync-dominated scale for the sharding driver tests: commits pay a
-    /// 2ms serialized device sync, statements are free, so throughput is
-    /// bounded by per-shard sync bandwidth — the axis sharding scales.
-    fn sharding_scale() -> Scale {
-        Scale {
-            txns: 48,
-            users: 60,
-            cities: 4,
-            flights: 80,
-            cost: CostModel {
-                per_statement: Duration::ZERO,
-                per_entangled_eval: Duration::ZERO,
-                per_commit: Duration::from_millis(2),
-            },
-            seed: 4,
-        }
-    }
-
-    #[test]
-    fn sharding_driver_four_shards_outscale_one_on_the_local_mix() {
-        // The ISSUE-7 acceptance criterion, in miniature: on the
-        // shard-local mix at 8 connections, 4 per-shard commit pipelines
-        // must reach ≥ 1.5× single-shard throughput (ideal is ~4× — four
-        // log devices sync concurrently instead of queueing on one).
-        let s = sharding_scale();
-        let one = run_sharding(&s, 1, 8, 0);
-        let four = run_sharding(&s, 4, 8, 0);
-        assert_eq!(one.scaling.committed, 48, "{one:?}");
-        assert_eq!(four.scaling.committed, 48, "{four:?}");
-        assert_eq!(four.shard_syncs.len(), 4);
-        assert!(
-            four.shard_syncs.iter().filter(|&&n| n > 0).count() >= 2,
-            "local mix must spread commits over shards: {:?}",
-            four.shard_syncs
-        );
-        let ratio = four.scaling.txns_per_sec / one.scaling.txns_per_sec;
-        assert!(
-            ratio >= 1.5,
-            "4 shards only {ratio:.2}x over 1 shard at 8 connections \
-             (one={:.1} four={:.1} txns/s)",
-            one.scaling.txns_per_sec,
-            four.scaling.txns_per_sec
-        );
-    }
-
-    #[test]
-    fn sharding_driver_cross_mix_pays_the_two_phase_tax() {
-        // Cross-shard transactions drive the CrossPrepare/CrossCommit
-        // path (≥ 2 prepares per unit); the local mix never does.
-        let s = sharding_scale();
-        let cross = run_sharding(&s, 4, 8, SHARDING_CROSS_PCT);
-        assert_eq!(cross.scaling.committed, 48, "{cross:?}");
-        assert!(cross.cross_shard_commits > 0, "{cross:?}");
-        assert!(cross.cross_shard_prepares >= 2 * cross.cross_shard_commits);
-        let local = run_sharding(&s, 4, 8, 0);
-        assert_eq!(local.cross_shard_commits, 0);
-        assert_eq!(local.cross_shard_prepares, 0);
-    }
-
-    #[test]
-    fn sharding_json_is_well_formed() {
-        let scale = Scale::quick();
-        let point = |conns: usize, tps: f64, prepares: u64| ShardingPoint {
-            scaling: ScalingPoint {
-                connections: conns,
-                seconds: 0.5,
-                committed: 100,
-                failed: 0,
-                txns_per_sec: tps,
-                syncs_per_commit: 1.0,
-            },
-            cross_shard_commits: prepares / 2,
-            cross_shard_prepares: prepares,
-            shard_syncs: vec![25, 26, 24, 25],
-            deadlocks: 0,
-            timeouts: 1,
-            deadlock_victims: 0,
-            detection_probes: 0,
-        };
-        let series = vec![
-            ShardingSeries {
-                label: "local shards=1".into(),
-                shards: 1,
-                cross_pct: 0,
-                points: vec![point(1, 50.0, 0), point(8, 100.0, 0)],
-            },
-            ShardingSeries {
-                label: "local shards=4".into(),
-                shards: 4,
-                cross_pct: 0,
-                points: vec![point(1, 50.0, 0), point(8, 300.0, 0)],
-            },
-            ShardingSeries {
-                label: "cross shards=4".into(),
-                shards: 4,
-                cross_pct: SHARDING_CROSS_PCT,
-                points: vec![point(1, 40.0, 100), point(8, 150.0, 100)],
-            },
-        ];
-        assert_eq!(sharding_local_speedup(&series), 3.0);
-        assert_eq!(sharding_cross_tax(&series), 2.0);
-        let json = sharding_json(&scale, &series);
-        assert!(json.contains("\"experiment\": \"sharding\""));
-        assert!(json.contains("\"local_4_over_1_at_8\": 3.000"));
-        assert!(json.contains("\"cross_tax_at_4_shards\": 2.000"));
-        assert!(json.contains("\"shard_syncs\": [25, 26, 24, 25]"));
-        assert!(json.contains("\"cross_shard_prepares\": 100"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    #[test]
-    fn hotcycle_detect_arm_resolves_every_cycle_without_timeouts() {
-        // The ISSUE-10 acceptance criterion, in miniature: on the
-        // deadlock-prone mix, the detect arm must finish with zero
-        // timeouts (every cycle dies by explicit conviction) and beat
-        // the timeout-only ablation on committed-txns/sec.
-        let s = Scale {
-            txns: 120,
-            ..sharding_scale()
-        };
-        let report = run_hotcycle(&s);
-        assert_eq!(
-            report.detect.timeouts, 0,
-            "detection must preempt the timeout backstop: {report:?}"
-        );
-        assert!(
-            report.detect.committed >= 60,
-            "victims retry to commit: {report:?}"
-        );
-        assert!(
-            report.detect_speedup() > 1.0,
-            "detect arm must outrun the 250ms-stall ablation: {:.2}x \
-             (detect={:.1} timeout={:.1} txns/s)",
-            report.detect_speedup(),
-            report.detect.txns_per_sec,
-            report.timeout.txns_per_sec
-        );
-        // The ablation genuinely exercised the backstop, or the
-        // comparison is vacuous.
-        assert!(report.timeout.timeouts > 0, "{report:?}");
-        assert_eq!(report.timeout.deadlock_victims, 0, "{report:?}");
-        assert_eq!(report.timeout.detection_probes, 0, "{report:?}");
-        if report.detect.deadlock_victims > 0 {
-            assert!(report.detect.detection_probes > 0, "{report:?}");
-        }
-    }
-
-    #[test]
-    fn hotcycle_json_is_well_formed() {
-        let scale = Scale::quick();
-        let arm = |label: &str, tps: f64, timeouts: u64, victims: u64| HotCycleArm {
-            label: label.to_string(),
-            seconds: 1.0,
-            committed: 300,
-            txns_per_sec: tps,
-            deadlocks: victims,
-            timeouts,
-            deadlock_victims: victims,
-            detection_probes: victims * 3,
-            p50_block_us: 900,
-            p99_block_us: if timeouts > 0 { 250_000 } else { 12_000 },
-            max_block_us: 260_000,
-        };
-        let report = HotCycleReport {
-            detect: arm("detect", 200.0, 0, 14),
-            timeout: arm("timeout", 80.0, 14, 0),
-        };
-        assert!((report.detect_speedup() - 2.5).abs() < 1e-9);
-        let json = hotcycle_json(&scale, &report);
-        assert!(json.contains("\"experiment\": \"hotcycle\""));
-        assert!(json.contains("\"detect_speedup_over_timeout\": 2.500"));
-        assert!(json.contains("\"label\": \"detect\""));
-        assert!(json.contains("\"p99_block_us\": 250000"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");
-    }
-
-    #[test]
     fn table_granularity_livelocks_entangled_pairs() {
-        // The structural standoff documented in EXPERIMENTS.md: partners
-        // cannot group-commit while one holds a table-X lock the other
-        // needs. All pairs time out.
+        // The structural standoff documented in DESIGN.md "Ablations":
+        // partners cannot group-commit while one holds a table-X lock the
+        // other needs. All pairs time out.
         let mut s = tiny();
         s.txns = 4;
         let p = run_ablated(&s, Some(Ablation::TableGranularity), Family::Entangled, 2);

@@ -18,7 +18,9 @@ use crate::recorder::Recorder;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use youtopia_entangle::{from_ast, ground, solve, QueryIr, QueryOutcome, SolveInput, SolverConfig};
+use youtopia_entangle::{
+    from_ast, ground, solve, GroundingSet, QueryIr, QueryOutcome, SolveInput, SolverConfig,
+};
 use youtopia_lock::{LockMode, Resource, ShardedLocks, TxId};
 use youtopia_sql::{parse_script, Statement, VarEnv};
 use youtopia_storage::{
@@ -45,8 +47,7 @@ pub enum DeadlockPolicy {
     /// are skipped). The default.
     Detect,
     /// No global detection: cross-shard cycles die by `lock_timeout`
-    /// (the pre-detector behaviour, kept as the measured ablation —
-    /// `YOUTOPIA_DEADLOCK=timeout` forces it process-wide).
+    /// (the pre-detector behaviour).
     Timeout,
 }
 
@@ -105,20 +106,6 @@ pub struct EngineConfig {
     /// Record an abstract schedule of every operation (audited against
     /// Appendix C by tests and the `verify_history` API).
     pub record_history: bool,
-    /// Batch concurrent commit syncs behind a leader (§4 group commit at
-    /// the WAL layer). Off = every commit *group* pays its own serialized
-    /// device sync (singletons sync alone), the pre-pipeline durability
-    /// cost (bench ablation).
-    pub wal_group_commit: bool,
-    /// Route read-only classical transactions to the multi-version
-    /// snapshot read path: pin a commit-timestamp snapshot at BEGIN and
-    /// evaluate every SELECT against committed row versions, acquiring
-    /// **no** S locks (readers never block writers and never wait behind
-    /// them). Off = the pre-MVCC behaviour — read-only transactions take
-    /// table S locks like everyone else (the `readscale` bench ablation).
-    /// Entangled grounding reads keep their S locks either way: §3.3.3's
-    /// anomaly-prevention argument depends on them.
-    pub snapshot_reads: bool,
     /// Number of engine shards. Tables are hash-partitioned by name
     /// ([`shard_of_table`]); each shard owns its own lock manager, WAL
     /// segment, and group-commit pipeline, so shard-local transactions
@@ -129,8 +116,7 @@ pub struct EngineConfig {
     /// rerun suites under sharding without code changes.
     pub shards: usize,
     /// Cross-shard deadlock resolution: detect (probe overlay, the
-    /// default) or timeout-only (`YOUTOPIA_DEADLOCK=timeout` forces the
-    /// ablation process-wide, mirroring the other env switches).
+    /// default) or timeout-only.
     pub deadlock: DeadlockPolicy,
 }
 
@@ -141,20 +127,13 @@ impl Default for EngineConfig {
             // Row granularity for writes by default: the paper's substrate
             // (InnoDB) is row-locking, and entangled partners write to the
             // same tables (Reserve), which table-X locks would serialize
-            // structurally. `LockGranularity::Table` is the Ab4 ablation;
-            // `YOUTOPIA_LOCK_GRANULARITY=table` forces it process-wide so
-            // CI can rerun suites under the ablation without code changes.
-            granularity: match std::env::var("YOUTOPIA_LOCK_GRANULARITY").as_deref() {
-                Ok(g) if g.eq_ignore_ascii_case("table") => LockGranularity::Table,
-                _ => LockGranularity::Row,
-            },
+            // structurally. `LockGranularity::Table` is the Ab4 ablation.
+            granularity: LockGranularity::Row,
             lock_timeout: Duration::from_millis(250),
             solver: SolverConfig::default(),
             empty_answer: EmptyAnswerPolicy::Abort,
             cost: CostModel::ZERO,
             record_history: true,
-            wal_group_commit: true,
-            snapshot_reads: true,
             shards: match std::env::var("YOUTOPIA_SHARDS")
                 .ok()
                 .and_then(|s| s.parse::<usize>().ok())
@@ -162,10 +141,7 @@ impl Default for EngineConfig {
                 Some(n) if n >= 1 => n,
                 _ => 1,
             },
-            deadlock: match std::env::var("YOUTOPIA_DEADLOCK").as_deref() {
-                Ok(p) if p.eq_ignore_ascii_case("timeout") => DeadlockPolicy::Timeout,
-                _ => DeadlockPolicy::Detect,
-            },
+            deadlock: DeadlockPolicy::Detect,
         }
     }
 }
@@ -233,8 +209,7 @@ pub struct Engine {
     next_ckpt: AtomicU64,
     /// Access-path accounting across every statement executed on this
     /// engine: base rows materialized as candidates (O(table) per scanned
-    /// stage, O(matches) per probed stage) and index probes served. The
-    /// scheduler samples these as per-run deltas, like WAL syncs.
+    /// stage, O(matches) per probed stage) and index probes served.
     rows_scanned: AtomicU64,
     index_lookups: AtomicU64,
     /// Snapshot point/range reads that probed the *live* history-union
@@ -384,7 +359,7 @@ impl Engine {
     /// Lock waits that expired, over all lock shards. With
     /// [`DeadlockPolicy::Detect`] (the default) cross-shard cycles are
     /// convicted by the probe overlay instead of landing here; the
-    /// timeout backstops the `Timeout` ablation and all-immune cycles.
+    /// timeout backstops [`DeadlockPolicy::Timeout`] and all-immune cycles.
     pub fn timeouts(&self) -> u64 {
         self.locks.total_timeouts()
     }
@@ -403,14 +378,13 @@ impl Engine {
     }
 
     /// Completed lock-wait durations (µs) across every lock shard — one
-    /// sample per request that actually blocked. The `hotcycle` bench
-    /// derives its block-time percentiles from this.
+    /// sample per request that actually blocked.
     pub fn lock_wait_micros(&self) -> Vec<u64> {
         self.locks.all_wait_micros()
     }
 
     /// Serialized lock-order graph + cycle report (`None` without an
-    /// auditor). CI uploads this next to the BENCH jsons.
+    /// auditor).
     pub fn lock_order_graph_json(&self) -> Option<String> {
         self.auditor.as_ref().map(|a| a.graph_json())
     }
@@ -455,11 +429,6 @@ impl Engine {
         shard_of_table(table, self.wal.shards())
     }
 
-    /// Completed commit batches summed over every shard's pipeline.
-    pub fn commit_batches(&self) -> u64 {
-        self.committers.iter().map(|c| c.batches()).sum()
-    }
-
     /// Cross-shard prepare records written (one per participant shard of
     /// every cross-shard commit unit).
     pub fn cross_shard_prepares(&self) -> u64 {
@@ -471,8 +440,9 @@ impl Engine {
         self.cross_shard_commits.load(Ordering::Relaxed)
     }
 
-    /// Snapshot materializations that skipped a named-index rebuild
-    /// because the reader never probes (lazy index builds).
+    /// Snapshot point/range reads served by a visibility-filtered probe
+    /// of the live history-union index — each one a per-snapshot index
+    /// copy that was never built.
     pub fn index_rebuilds_avoided(&self) -> u64 {
         self.index_rebuilds_avoided.load(Ordering::Relaxed)
     }
@@ -658,15 +628,17 @@ impl Engine {
         f(&self.catalog.materialize())
     }
 
-    /// Open a fresh attempt. Read-only classical transactions (with
-    /// [`EngineConfig::snapshot_reads`] on) pin a commit-timestamp
-    /// snapshot instead of opening a redo buffer: they will evaluate
-    /// against committed versions, acquire no locks, and publish nothing
-    /// durable. Everyone else opens its private redo buffer with the
-    /// BEGIN record, which reaches the shared WAL only when the commit
-    /// batch publishes it.
+    /// Open a fresh attempt. Read-only classical transactions pin a
+    /// commit-timestamp snapshot instead of opening a redo buffer: they
+    /// will evaluate every SELECT against committed row versions, acquire
+    /// **no** S locks (readers never block writers and never wait behind
+    /// them), and publish nothing durable. Everyone else — including
+    /// entangled programs, whose grounding reads keep their S locks
+    /// because §3.3.3's anomaly-prevention argument depends on them —
+    /// opens its private redo buffer with the BEGIN record, which reaches
+    /// the shared WAL only when the commit batch publishes it.
     pub fn begin(&self, txn: &mut Txn) {
-        if self.config.snapshot_reads && txn.program.is_read_only() {
+        if txn.program.is_read_only() {
             txn.snapshot = Some(self.versions.pin());
             if self.config.record_history {
                 self.recorder.snapshot_pin(txn.tx);
@@ -718,66 +690,59 @@ impl Engine {
         }
         let mut report = EvalReport::default();
 
-        // 1. Build IRs (host vars substituted from each txn's env).
-        let mut irs: Vec<Option<QueryIr>> = Vec::with_capacity(blocked.len());
-        for txn in blocked.iter_mut() {
+        // 1. Build IRs (host vars substituted from each txn's env). From
+        //    here on a query travels as `(index into blocked, …)`; a
+        //    failure at any step aborts its transaction and drops the entry.
+        let mut irs: Vec<(usize, QueryIr)> = Vec::with_capacity(blocked.len());
+        for (i, txn) in blocked.iter_mut().enumerate() {
             let TxnStatus::Blocked { statement } = txn.status else {
-                irs.push(None);
                 continue;
             };
             let Statement::Entangled(eq) = &txn.program.statements[statement] else {
-                irs.push(None);
                 continue;
             };
             match from_ast(eq, &txn.env) {
-                Ok(ir) => irs.push(Some(ir)),
+                Ok(ir) => irs.push((i, ir)),
                 Err(e) => {
                     self.abort(txn, EngineError::Ir(e));
                     report.aborted += 1;
-                    irs.push(None);
                 }
             }
         }
 
         // 2. Grounding-read locks (shared, held to commit under full
         //    isolation — §3.3.3's protection against Figure 3(b)).
-        for (i, ir) in irs.iter_mut().enumerate() {
-            let Some(q) = ir else { continue };
-            let mut failed = None;
-            for t in q.tables_read() {
-                if let Err(e) = self.lock(blocked[i].tx, Resource::table(&t), LockMode::S) {
-                    failed = Some(e);
-                    break;
+        irs.retain(|(i, q)| {
+            let tx = blocked[*i].tx;
+            let locked = q
+                .tables_read()
+                .iter()
+                .try_for_each(|t| self.lock(tx, Resource::table(t), LockMode::S));
+            match locked {
+                Ok(()) => true,
+                Err(e) => {
+                    self.abort(blocked[*i], e);
+                    report.aborted += 1;
+                    false
                 }
             }
-            if let Some(e) = failed {
-                self.abort(blocked[i], e);
-                report.aborted += 1;
-                *ir = None;
-            }
-        }
+        });
 
         // 3. Ground each query against its pinned table footprint. The
         //    grounding-read locks just acquired (2PL, §3.3.3) — not a
         //    global latch — keep each footprint stable, so queries over
         //    disjoint tables ground while writers touch unrelated tables.
         let snapshot = self.catalog.snapshot();
-        let mut grounded = Vec::with_capacity(blocked.len());
-        for (i, ir) in irs.iter_mut().enumerate() {
-            let Some(q) = ir.as_ref() else {
-                grounded.push(None);
-                continue;
-            };
+        let mut live: Vec<(usize, QueryIr, GroundingSet)> = Vec::with_capacity(irs.len());
+        for (i, q) in irs {
             let result = {
                 let view = snapshot.read_view(&q.tables_read());
-                ground(&view, q, &blocked[i].env)
+                ground(&view, &q, &blocked[i].env)
             };
             match result {
-                Ok(gs) => grounded.push(Some(gs)),
+                Ok(gs) => live.push((i, q, gs)),
                 Err(e) => {
                     // Rare (schema races); surface the real grounding error.
-                    grounded.push(None);
-                    *ir = None;
                     self.abort(blocked[i], EngineError::Ground(e));
                     report.aborted += 1;
                 }
@@ -788,26 +753,18 @@ impl Engine {
         // itself — which is exactly what makes quasi-reads unrepeatable
         // (the Figure 3(b) anomaly becomes possible).
         if self.config.isolation == IsolationMode::EarlyReadLockRelease {
-            for (i, ir) in irs.iter().enumerate() {
-                if let Some(q) = ir {
-                    for t in q.tables_read() {
-                        self.locks
-                            .release(TxId(blocked[i].tx), &Resource::table(&t));
-                    }
+            for (i, q, _) in &live {
+                for t in q.tables_read() {
+                    self.locks
+                        .release(TxId(blocked[*i].tx), &Resource::table(&t));
                 }
             }
         }
 
         // 4. Solve jointly.
-        let live: Vec<usize> = (0..blocked.len())
-            .filter(|&i| irs[i].is_some() && grounded[i].is_some())
-            .collect();
         let inputs: Vec<SolveInput> = live
             .iter()
-            .map(|&i| SolveInput {
-                ir: irs[i].as_ref().expect("live"),
-                grounding: grounded[i].as_ref().expect("live"),
-            })
+            .map(|(_, ir, grounding)| SolveInput { ir, grounding })
             .collect();
         let solution = solve(&inputs, &self.config.solver);
 
@@ -818,20 +775,19 @@ impl Engine {
         let mut handled_groups: Vec<Vec<u64>> = solution
             .groups
             .iter()
-            .map(|g| g.iter().map(|&pos| blocked[live[pos]].tx).collect())
+            .map(|g| g.iter().map(|&pos| blocked[live[pos].0].tx).collect())
             .collect();
-        for (pos, &i) in live.iter().enumerate() {
-            let txn = &mut *blocked[i];
+        for (pos, (i, ir, gs)) in live.iter().enumerate() {
+            let txn = &mut *blocked[*i];
             match &solution.outcomes[pos] {
                 QueryOutcome::Answered { grounding } => {
-                    let gs = grounded[i].as_ref().expect("live");
                     if self.config.record_history {
                         for t in &gs.tables_read {
                             self.recorder.ground_read(txn.tx, t);
                         }
                     }
                     let g = &gs.groundings[*grounding];
-                    for (idx, var) in &irs[i].as_ref().expect("live").bindings {
+                    for (idx, var) in &ir.bindings {
                         txn.env.insert(var.clone(), g.answer_row[*idx].clone());
                     }
                     txn.answers.push(g.answer_row.clone());
@@ -840,7 +796,6 @@ impl Engine {
                     report.answered += 1;
                 }
                 QueryOutcome::EmptyAnswer => {
-                    let gs = grounded[i].as_ref().expect("live");
                     if self.config.record_history {
                         for t in &gs.tables_read {
                             self.recorder.ground_read(txn.tx, t);
@@ -892,9 +847,9 @@ impl Engine {
 
         // Empty-answer aborts (policy Abort), after their entangle op.
         if self.config.empty_answer == EmptyAnswerPolicy::Abort {
-            for (pos, &i) in live.iter().enumerate() {
+            for (pos, (i, _, _)) in live.iter().enumerate() {
                 if solution.outcomes[pos] == QueryOutcome::EmptyAnswer {
-                    self.abort(blocked[i], EngineError::EmptyAnswer);
+                    self.abort(blocked[*i], EngineError::EmptyAnswer);
                     report.aborted += 1;
                 }
             }
@@ -931,42 +886,16 @@ impl Engine {
         if txns.is_empty() {
             return;
         }
-        if !self.config.wal_group_commit {
-            // The ablation baseline: one publish and one serialized
-            // device sync per entanglement group — the pre-pipeline commit
-            // *shape* (PR 2 synced once per `commit_group` call) on a
-            // serial device. Note this is stricter than PR 2's measured
-            // cost, which slept `per_commit` concurrently per committer
-            // and so under-modelled fsync serialization. The settle path
-            // hands groups over as contiguous slices, so chunking at
-            // group boundaries suffices.
-            let mut rest: &mut [&mut Txn] = txns;
-            while !rest.is_empty() {
-                let gid = self.groups.group_id(rest[0].tx);
-                let mut end = 1;
-                while end < rest.len() && gid.is_some() && self.groups.group_id(rest[end].tx) == gid
-                {
-                    end += 1;
-                }
-                let (chunk, tail) = rest.split_at_mut(end);
-                self.publish_and_commit(chunk, false);
-                rest = tail;
-            }
-            return;
-        }
-        self.publish_and_commit(txns, true);
+        self.publish_and_commit(txns);
     }
 
-    /// The two commit phases for one publish unit; `batched` selects the
-    /// leader/follower group-commit sync vs an exclusive serialized sync.
+    /// The two commit phases for one publish unit.
     ///
     /// Transactions with nothing durable — read-only attempts whose redo
     /// buffer holds no write record and who belong to no entanglement
     /// group — skip the WAL entirely: a read-only commit has no effect a
     /// recovery could replay, so publishing `Begin`/`Commit` for it would
-    /// only grow the log and waste a sync slot. (This elision applies on
-    /// both the snapshot and the S-lock read path, so the `readscale`
-    /// ablation compares locking disciplines, not logging volume.)
+    /// only grow the log and waste a sync slot.
     ///
     /// Durable transactions additionally drive the multi-version clock:
     /// the batch reserves one commit timestamp (carried by its `Commit`
@@ -976,7 +905,7 @@ impl Engine {
     /// Installing before lock release keeps version order aligned with
     /// 2PL serialization order for conflicting rows; completing after all
     /// installs keeps half-installed batches invisible to snapshots.
-    fn publish_and_commit(&self, txns: &mut [&mut Txn], batched: bool) {
+    fn publish_and_commit(&self, txns: &mut [&mut Txn]) {
         // From here until every lock is released, the batch is inside the
         // commit pipeline: mark its members so the deadlock victim policy
         // treats their entanglement groups as immune (a group with a
@@ -1051,12 +980,11 @@ impl Engine {
                     .map(|(_, t)| t.tx)
                     .collect();
 
-                if shard_set.len() == 1 {
+                if let (1, Some(&s)) = (shard_set.len(), shard_set.first()) {
                     // Shard-local unit: redo, group membership, commit
                     // points and the group-commit marker — exactly the
                     // single-pipeline layout, confined to the owning
                     // shard's segment and covered by its sync alone.
-                    let s = *shard_set.iter().next().expect("non-empty");
                     for (k, t) in txns[i..end].iter_mut().enumerate() {
                         if durable[i + k] {
                             buckets[s].append(&mut t.redo);
@@ -1141,11 +1069,7 @@ impl Engine {
             // participant — the measured cross-shard commit tax.
             for s in 0..nshards {
                 let Some(upto) = ends[s] else { continue };
-                if batched {
-                    self.committers[s].sync_covering(self.wal.shard(s), upto, &covering[s]);
-                } else {
-                    self.committers[s].sync_exclusive(self.wal.shard(s));
-                }
+                self.committers[s].sync_covering(self.wal.shard(s), upto, &covering[s]);
             }
 
             // ---- Phase 2b: cross-shard decision shortcuts ----
@@ -1231,7 +1155,6 @@ impl Engine {
         &self,
         name: &str,
         ts: CommitTs,
-        _stats: &mut youtopia_storage::ScanStats,
     ) -> Option<std::sync::Arc<youtopia_storage::Table>> {
         let key = name.to_ascii_lowercase();
         let cached = self.snap_cache.lock().get(&key).cloned();
@@ -1736,25 +1659,29 @@ mod tests {
     fn lock_conflicts_abort_on_timeout() {
         let cfg = EngineConfig {
             lock_timeout: Duration::from_millis(10),
-            // This test is about S-vs-X lock conflicts, so force read-only
-            // transactions onto the locked path (with snapshot reads on,
-            // t2 would simply never conflict — see
-            // `snapshot_reads_bypass_writer_locks`).
-            snapshot_reads: false,
             ..EngineConfig::default()
         };
         let e = Engine::new(cfg);
-        e.setup("CREATE TABLE T (a INT); INSERT INTO T VALUES (1);")
+        e.setup("CREATE TABLE T (a INT); CREATE TABLE Log (a INT); INSERT INTO T VALUES (1);")
             .unwrap();
         let mut t1 = txn(&e, "BEGIN; UPDATE T SET a = 2; COMMIT;");
-        let mut t2 = txn(&e, "BEGIN; SELECT a FROM T; COMMIT;");
+        // This test is about S-vs-X lock conflicts, so the reader is a
+        // read-write program: its SELECT takes the locked path (a
+        // read-only one would pin a snapshot and never conflict — see
+        // `snapshot_reads_bypass_writer_locks`).
+        let mut t2 = txn(
+            &e,
+            "BEGIN; SELECT @a FROM T; INSERT INTO Log (a) VALUES (@a); COMMIT;",
+        );
+        assert!(t2.snapshot.is_none(), "read-write programs take locks");
         assert_eq!(e.run_until_block(&mut t1), StepOutcome::Ready);
         // t1 holds X on T until commit; t2's S lock times out.
         assert_eq!(e.run_until_block(&mut t2), StepOutcome::Aborted);
         assert!(matches!(
             t2.status,
-            TxnStatus::Aborted(EngineError::Lock(_))
+            TxnStatus::Aborted(EngineError::Lock(youtopia_lock::LockError::Timeout))
         ));
+        e.with_db(|db| assert_eq!(db.table("Log").unwrap().len(), 0));
         e.commit_group(&mut [&mut t1]);
         // Retry after commit succeeds.
         let mut t3 = txn(&e, "BEGIN; SELECT @a FROM T; COMMIT;");
@@ -2179,27 +2106,6 @@ mod tests {
         assert_eq!(r.env.get("fid"), Some(&Value::Int(122)));
         e.commit_group(&mut [&mut r]);
         assert_eq!(e.versions.live_pins(), 0);
-    }
-
-    #[test]
-    fn snapshot_ablation_takes_locks_again() {
-        let cfg = EngineConfig {
-            lock_timeout: Duration::from_millis(10),
-            snapshot_reads: false,
-            ..EngineConfig::default()
-        };
-        let e = Engine::new(cfg);
-        e.setup("CREATE TABLE T (a INT); INSERT INTO T VALUES (1);")
-            .unwrap();
-        let mut writer = txn(&e, "BEGIN; UPDATE T SET a = 2; COMMIT;");
-        assert_eq!(e.run_until_block(&mut writer), StepOutcome::Ready);
-        let mut reader = txn(&e, "BEGIN; SELECT a FROM T; COMMIT;");
-        assert_eq!(
-            e.run_until_block(&mut reader),
-            StepOutcome::Aborted,
-            "with snapshot_reads off, the reader queues behind the X lock"
-        );
-        e.commit_group(&mut [&mut writer]);
     }
 
     #[test]

@@ -56,12 +56,11 @@ use youtopia_wal::LogRecord;
 ///
 /// ## The snapshot read path
 ///
-/// A transaction whose attempt pinned a snapshot (`Txn::snapshot`;
-/// read-only classical programs under `EngineConfig::snapshot_reads`)
-/// never reaches the locked SELECT path at all: its statements evaluate
-/// against [`SnapshotTables`] — owned copies of each table as visible at
-/// the pinned commit timestamp, materialized once per transaction advance
-/// and cached here. No 2PL lock, no latch beyond the one short read latch
+/// A transaction whose attempt pinned a snapshot (`Txn::snapshot`; every
+/// read-only classical program) never reaches the locked SELECT path at
+/// all: its statements evaluate against [`SnapshotTables`] — owned copies
+/// of each table as visible at the pinned commit timestamp, materialized
+/// once per transaction advance and cached here. No 2PL lock, no latch beyond the one short read latch
 /// per table taken during materialization. Writers can commit freely
 /// underneath; the snapshot, by the visibility rule, never sees them.
 pub struct TxnContext<'e> {
@@ -97,12 +96,7 @@ impl<'e> TxnContext<'e> {
     /// per committed write to it — not once per reader. Returns an owned
     /// handle (`Arc` clones — cheap). Unknown names are skipped; lookups
     /// then fail with `NoSuchTable`, mirroring the locked path.
-    fn snapshot_view(
-        &self,
-        names: &[String],
-        ts: CommitTs,
-        stats: &mut ScanStats,
-    ) -> SnapshotTables {
+    fn snapshot_view(&self, names: &[String], ts: CommitTs) -> SnapshotTables {
         let mut cache = self.snapshot_tables.borrow_mut();
         let view = cache.get_or_insert_with(|| SnapshotTables::from_parts(ts, []));
         let missing: Vec<&String> = names.iter().filter(|n| !view.contains(n)).collect();
@@ -111,7 +105,7 @@ impl<'e> TxnContext<'e> {
                 ts,
                 missing
                     .into_iter()
-                    .filter_map(|n| self.engine.snapshot_table(n, ts, stats)),
+                    .filter_map(|n| self.engine.snapshot_table(n, ts)),
             ));
         }
         view.clone()
@@ -189,12 +183,12 @@ impl<'e> TxnContext<'e> {
             [table] => match self.snapshot_probe(table, &lowered.query, ts, &mut stats)? {
                 Some(out) => out,
                 None => {
-                    let view = self.snapshot_view(&tables, ts, &mut stats);
+                    let view = self.snapshot_view(&tables, ts);
                     eval_spj_counted(&view, &lowered.query, &mut stats)?
                 }
             },
             _ => {
-                let view = self.snapshot_view(&tables, ts, &mut stats);
+                let view = self.snapshot_view(&tables, ts);
                 eval_spj_counted(&view, &lowered.query, &mut stats)?
             }
         };

@@ -25,8 +25,7 @@
 //!   records accumulate in the transaction-private redo buffer — only
 //!   commit/abort touch the shared WAL device. Read-only transactions
 //!   bypass all of that: they evaluate against a pinned commit-timestamp
-//!   snapshot of the multi-version store, acquiring no locks at all
-//!   (`EngineConfig::snapshot_reads`).
+//!   snapshot of the multi-version store, acquiring no locks at all.
 //! * [`scheduler`] — the §4 run-based scheduler: dormant pool, arrival-
 //!   triggered runs (the paper's frequency `f`), phase loop with batch
 //!   query evaluation (Figure 4), group-commit settlement, retry and

@@ -68,7 +68,7 @@ impl Program {
     /// A classical read-only program: nothing but `SELECT` and `SET @var`.
     /// Such a transaction writes nothing, entangles with nobody, and needs
     /// no durable record — the engine routes it to the lock-free snapshot
-    /// read path when [`crate::EngineConfig::snapshot_reads`] is on.
+    /// read path ([`crate::Engine::begin`]).
     pub fn is_read_only(&self) -> bool {
         self.statements
             .iter()

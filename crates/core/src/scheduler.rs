@@ -140,9 +140,6 @@ pub struct RunReport {
     pub failed: usize,
     pub eval_rounds: usize,
     pub eval: EvalReport,
-    /// Device syncs this run paid (group commit amortizes these: the
-    /// ratio `syncs / committed` drops below 1 under concurrency).
-    pub syncs: u64,
     /// Checkpoints written at this run's settle boundary (0 or 1).
     pub checkpoints: u64,
     /// Log bytes reclaimed by this run's checkpoint truncation.
@@ -150,23 +147,6 @@ pub struct RunReport {
     /// Row versions reclaimed by the settle-boundary vacuum (multi-version
     /// GC: everything older than the oldest live snapshot).
     pub versions_pruned: u64,
-    /// Base rows materialized as candidates by this run's statements
-    /// (O(table) per scanned stage, O(matches) per index probe).
-    pub rows_scanned: u64,
-    /// Index probes served to this run's statements.
-    pub index_lookups: u64,
-    /// Snapshot point/range reads this run that probed the live
-    /// history-union index and filtered by version visibility instead of
-    /// materializing a per-snapshot index copy.
-    pub index_rebuilds_avoided: u64,
-    /// Cross-shard commit units this run drove through the two-phase
-    /// protocol (0 on a single-shard engine).
-    pub cross_shard_commits: u64,
-    /// Cross-shard prepare records this run wrote (one per participant
-    /// shard of each cross-shard unit).
-    pub cross_shard_prepares: u64,
-    /// Device syncs this run paid, per shard segment (sums to `syncs`).
-    pub shard_syncs: Vec<u64>,
     /// Waits-for cycles broken by victim selection during this run,
     /// summed over every lock shard (local enqueue-time detections plus
     /// cross-shard probe convictions).
@@ -180,12 +160,11 @@ pub struct RunReport {
     pub deadlock_victims: u64,
     /// Edge-chasing probes blocked waiters launched during this run.
     pub detection_probes: u64,
-    /// Lock-protocol events checked by the auditor during this run (0 in
-    /// unaudited builds).
-    pub audit_events: u64,
 }
 
-/// Cumulative statistics.
+/// Cumulative statistics: what this scheduler decided, plus the lock-abort
+/// deltas of its runs. Engine-wide counters (syncs, access paths,
+/// cross-shard traffic, audit events) are read from [`Engine`] directly.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     pub runs: usize,
@@ -194,13 +173,6 @@ pub struct Stats {
     pub total_attempts: u64,
     pub group_commits: usize,
     pub group_aborts: usize,
-    /// Device syncs paid by scheduler runs (the setup bootstrap sync is
-    /// excluded); `syncs / committed` is the amortization figure the
-    /// durability pipeline optimizes.
-    pub syncs: u64,
-    /// Group-commit batches completed during this scheduler's runs
-    /// (`CommitBatch` boundaries written), same scope as `syncs`.
-    pub commit_batches: u64,
     /// Checkpoint images written at settle boundaries.
     pub checkpoints: u64,
     /// Total log bytes reclaimed by checkpoint truncations — the
@@ -209,24 +181,6 @@ pub struct Stats {
     /// Total row versions reclaimed by settle-boundary vacuums — the
     /// bounded-version-store dividend of the multi-version read path.
     pub versions_pruned: u64,
-    /// Base rows materialized as join/scan candidates across all runs —
-    /// the access-path cost secondary indexes attack (a point statement
-    /// should cost O(1) here, not O(table)).
-    pub rows_scanned: u64,
-    /// Index probes (named or anonymous) served across all runs.
-    pub index_lookups: u64,
-    /// Snapshot point/range reads served by the live history-union index
-    /// (visibility-filtered probes) instead of a per-snapshot index
-    /// rebuild, across all runs.
-    pub index_rebuilds_avoided: u64,
-    /// Cross-shard commit units across all runs (the two-phase tax
-    /// counter; 0 on a single-shard engine).
-    pub cross_shard_commits: u64,
-    /// Cross-shard prepare records across all runs.
-    pub cross_shard_prepares: u64,
-    /// Device syncs per shard segment, same scope as `syncs` (their sum).
-    /// Skew here shows whether commit pressure spread across pipelines.
-    pub shard_syncs: Vec<u64>,
     /// Waits-for cycles broken by victim selection across all runs.
     pub deadlocks: u64,
     /// Expired lock waits across all runs (the timeout backstop; with
@@ -237,21 +191,6 @@ pub struct Stats {
     pub deadlock_victims: u64,
     /// Edge-chasing probes across all runs.
     pub detection_probes: u64,
-    /// Lock-protocol events checked by the auditor across all runs (0 in
-    /// unaudited builds).
-    pub audit_events: u64,
-}
-
-impl Stats {
-    /// Device syncs per committed transaction — < 1 means group commit is
-    /// amortizing durability across transactions.
-    pub fn syncs_per_commit(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.syncs as f64 / self.committed as f64
-        }
-    }
 }
 
 /// The run-based scheduler.
@@ -325,19 +264,10 @@ impl Scheduler {
         self.arrivals_since_run = 0;
         self.stats.runs += 1;
         let mut report = RunReport::default();
-        let syncs_before = self.engine.wal.sync_count();
-        let shard_syncs_before = self.engine.wal.sync_counts();
-        let batches_before = self.engine.commit_batches();
-        let scanned_before = self.engine.rows_scanned();
-        let lookups_before = self.engine.index_lookups();
-        let rebuilds_avoided_before = self.engine.index_rebuilds_avoided();
-        let cross_commits_before = self.engine.cross_shard_commits();
-        let cross_prepares_before = self.engine.cross_shard_prepares();
         let deadlocks_before = self.engine.deadlocks();
         let timeouts_before = self.engine.timeouts();
         let victims_before = self.engine.deadlock_victims();
         let probes_before = self.engine.detection_probes();
-        let audit_events_before = self.engine.audit_events();
         let now = Instant::now();
 
         // Pull the pool; expire transactions whose deadline passed.
@@ -404,44 +334,14 @@ impl Scheduler {
         report.versions_pruned = self.engine.vacuum();
         self.stats.versions_pruned += report.versions_pruned;
         self.maybe_checkpoint(&mut report);
-        report.syncs = self.engine.wal.sync_count() - syncs_before;
-        self.stats.syncs += report.syncs;
-        report.shard_syncs = self
-            .engine
-            .wal
-            .sync_counts()
-            .iter()
-            .zip(&shard_syncs_before)
-            .map(|(after, before)| after - before)
-            .collect();
-        if self.stats.shard_syncs.len() != report.shard_syncs.len() {
-            self.stats.shard_syncs = vec![0; report.shard_syncs.len()];
-        }
-        for (total, delta) in self.stats.shard_syncs.iter_mut().zip(&report.shard_syncs) {
-            *total += delta;
-        }
-        self.stats.commit_batches += self.engine.commit_batches() - batches_before;
-        report.rows_scanned = self.engine.rows_scanned() - scanned_before;
-        report.index_lookups = self.engine.index_lookups() - lookups_before;
-        report.index_rebuilds_avoided =
-            self.engine.index_rebuilds_avoided() - rebuilds_avoided_before;
-        report.cross_shard_commits = self.engine.cross_shard_commits() - cross_commits_before;
-        report.cross_shard_prepares = self.engine.cross_shard_prepares() - cross_prepares_before;
-        self.stats.rows_scanned += report.rows_scanned;
-        self.stats.index_lookups += report.index_lookups;
-        self.stats.index_rebuilds_avoided += report.index_rebuilds_avoided;
-        self.stats.cross_shard_commits += report.cross_shard_commits;
-        self.stats.cross_shard_prepares += report.cross_shard_prepares;
         report.deadlocks = self.engine.deadlocks() - deadlocks_before;
         report.timeouts = self.engine.timeouts() - timeouts_before;
         report.deadlock_victims = self.engine.deadlock_victims() - victims_before;
         report.detection_probes = self.engine.detection_probes() - probes_before;
-        report.audit_events = self.engine.audit_events() - audit_events_before;
         self.stats.deadlocks += report.deadlocks;
         self.stats.timeouts += report.timeouts;
         self.stats.deadlock_victims += report.deadlock_victims;
         self.stats.detection_probes += report.detection_probes;
-        self.stats.audit_events += report.audit_events;
         report
     }
 

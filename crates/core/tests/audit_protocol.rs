@@ -59,7 +59,6 @@ fn workload_is_audit_clean_and_counters_are_live() {
     // The auditor observed the run (strict mode: reaching here at all
     // means zero violations were flagged).
     assert!(engine.audit_events() > 0, "auditor saw no events");
-    assert_eq!(stats.audit_events, engine.audit_events());
     assert!(engine.auditor().unwrap().violations().is_empty());
 
     // Committed work acquires locks in growth order, so the lock-order

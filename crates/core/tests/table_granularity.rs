@@ -4,10 +4,7 @@
 //! rebuilds indexes from the heap — and the entangled-pair livelock
 //! stays a *documented negative result*, not an accident.
 //!
-//! Every engine here pins its granularity explicitly, so the suite is
-//! green under any `YOUTOPIA_LOCK_GRANULARITY` setting; CI additionally
-//! runs it with the env var set to `table` to exercise the
-//! process-wide override on default-config engines (see the last test).
+//! Every engine here pins its granularity explicitly.
 
 use entangled_txn::{Engine, EngineConfig, LockGranularity, Program, Scheduler, SchedulerConfig};
 use rand::rngs::StdRng;
@@ -360,13 +357,4 @@ fn entangled_pairs_livelock_at_table_granularity_by_design() {
         assert_eq!(db.table("Reserve").unwrap().len(), 0, "no partial booking");
     });
     assert!(engine.locks.quiescent(), "failed pairs must release locks");
-}
-
-#[test]
-fn default_config_honors_the_granularity_env_var() {
-    let expect = match std::env::var("YOUTOPIA_LOCK_GRANULARITY").as_deref() {
-        Ok(g) if g.eq_ignore_ascii_case("table") => LockGranularity::Table,
-        _ => LockGranularity::Row,
-    };
-    assert_eq!(EngineConfig::default().granularity, expect);
 }

@@ -96,8 +96,7 @@ pub(crate) struct State {
     canceled: HashMap<TxId, CancelKind>,
     /// Completed blocked-wait durations in microseconds, in completion
     /// order — grants, timeouts, and cancellations alike (requests
-    /// served without blocking record nothing). The `hotcycle` bench
-    /// derives its block-time percentiles from this.
+    /// served without blocking record nothing).
     wait_micros: Vec<u64>,
 }
 

@@ -230,8 +230,7 @@ impl ShardedLocks {
     }
 
     /// Completed blocked-wait durations (µs) across every shard, in no
-    /// particular order — the sample set behind the `hotcycle` bench's
-    /// block-time percentiles.
+    /// particular order.
     pub fn all_wait_micros(&self) -> Vec<u64> {
         self.shards.iter().flat_map(|m| m.wait_micros()).collect()
     }
@@ -337,10 +336,7 @@ mod tests {
         );
         let l = Arc::new(l);
         // Bytes 'c','d','e' → shards 2,0,1: three distinct shards.
-        let res: Vec<Resource> = ["cc", "dd", "ee"]
-            .iter()
-            .map(Resource::table)
-            .collect();
+        let res: Vec<Resource> = ["cc", "dd", "ee"].iter().map(Resource::table).collect();
         let shard_set: std::collections::BTreeSet<usize> =
             res.iter().map(|r| l.shard_of(r)).collect();
         assert_eq!(shard_set.len(), 3, "ring must straddle three shards");

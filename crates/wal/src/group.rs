@@ -12,8 +12,7 @@
 //! completes elects the next leader. One device sync thus covers many
 //! commits — syncs-per-commit drops below 1 as concurrency rises.
 //!
-//! The device is serial, as a real fsync queue is: even with group commit
-//! disabled ([`GroupCommitter::sync_exclusive`]) syncs execute one at a
+//! The device is serial, as a real fsync queue is: syncs execute one at a
 //! time, which is exactly the cost group commit exists to amortize.
 
 use crate::log::Wal;
@@ -110,32 +109,6 @@ impl GroupCommitter {
             // iteration returns.
         }
     }
-
-    /// Sync without batching (group commit disabled): every caller pays
-    /// its own serialized device sync — the PR-2-era durability cost this
-    /// pipeline exists to amortize. Returns the durable frontier.
-    pub fn sync_exclusive(&self, wal: &Wal) -> u64 {
-        let mut g = self.inner.lock();
-        while g.syncing {
-            self.cv.wait(&mut g);
-        }
-        g.syncing = true;
-        drop(g);
-        if !self.sync_latency.is_zero() {
-            std::thread::sleep(self.sync_latency);
-        }
-        let durable = wal.sync();
-        g = self.inner.lock();
-        g.durable = g.durable.max(durable);
-        g.syncing = false;
-        self.cv.notify_all();
-        durable
-    }
-
-    /// Completed batch count (one per `CommitBatch` record written).
-    pub fn batches(&self) -> u64 {
-        self.inner.lock().batches
-    }
 }
 
 #[cfg(test)]
@@ -197,27 +170,15 @@ mod tests {
             "expected batching, got {} syncs for {threads} commits",
             wal.sync_count()
         );
-        assert_eq!(gc.batches(), wal.sync_count());
-        // Every commit is durable, and every CommitBatch lists only
-        // commits whose records precede it.
+        // Every sync wrote its `CommitBatch` boundary, and every commit is
+        // durable.
         let recs = wal.durable_records().unwrap();
-        let commits = recs
-            .iter()
-            .filter(|(_, r)| matches!(r, LogRecord::Commit { .. }))
-            .count();
-        assert_eq!(commits as u64, threads);
-    }
-
-    #[test]
-    fn sync_exclusive_never_batches() {
-        let wal = Wal::new();
-        let gc = GroupCommitter::new(Duration::ZERO);
-        for tx in 1..=4u64 {
-            let range = wal.publish(&[LogRecord::Commit { tx, ts: 0 }]);
-            let durable = gc.sync_exclusive(&wal);
-            assert!(durable >= range.end);
-        }
-        assert_eq!(wal.sync_count(), 4, "one serialized sync per commit");
-        assert_eq!(gc.batches(), 0, "no batch boundaries in exclusive mode");
+        let count =
+            |pred: fn(&LogRecord) -> bool| recs.iter().filter(|(_, r)| pred(r)).count() as u64;
+        assert_eq!(
+            count(|r| matches!(r, LogRecord::CommitBatch { .. })),
+            wal.sync_count()
+        );
+        assert_eq!(count(|r| matches!(r, LogRecord::Commit { .. })), threads);
     }
 }

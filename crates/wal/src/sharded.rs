@@ -61,11 +61,6 @@ impl ShardedWal {
         self.shards.iter().map(|w| w.sync_count()).sum()
     }
 
-    /// Per-shard fsync-equivalents, indexed by shard.
-    pub fn sync_counts(&self) -> Vec<u64> {
-        self.shards.iter().map(|w| w.sync_count()).collect()
-    }
-
     /// Force every segment durable.
     pub fn sync_all(&self) {
         for w in &self.shards {
@@ -138,7 +133,7 @@ mod tests {
         plain.sync();
         assert_eq!(sw.len(), plain.len());
         assert_eq!(sw.durable_records(), plain.durable_records());
-        assert_eq!(sw.sync_counts(), vec![1]);
+        assert_eq!(sw.sync_count(), 1);
     }
 
     #[test]

@@ -1,31 +1,17 @@
 //! # youtopia-workload
 //!
 //! Workload generation for the evaluation of *Entangled Transactions*
-//! (§5.2): the synthetic social graph standing in for the Slashdot dataset,
-//! the Appendix D travel schema and data, the six Figure 6(a) workloads
-//! (`NoSocial`/`Social`/`Entangled` × `-T`/`-Q`), the pending-transaction
-//! plans of Figure 6(b), the spoke-hub / cyclic coordination structures
-//! of Figure 6(c), the read-mostly [`readmix`] mix the `readscale`
-//! bench uses to measure the multi-version snapshot read path, the
-//! point-access [`pointmix`] mix the `pointmix` bench uses to measure
-//! the named secondary-index plans against full scans, the range-heavy
-//! [`rangemix`] mix the `rangemix` bench uses to measure btree range
-//! plans (next-key locking, composite keys, visibility-filtered
-//! snapshot probes) against forced scans, the shard-locality
-//! [`shardmix`] mix the `sharding` bench uses to measure per-shard
-//! commit pipelines against the cross-shard commit tax, and the
-//! deadlock-prone [`hotcycle`] mix the `hotcycle` bench uses to measure
-//! global edge-chasing deadlock detection against the timeout backstop.
+//! (§5.2): the synthetic [`social`] graph standing in for the Slashdot
+//! dataset, the Appendix D [`travel`] schema and data, the six
+//! Figure 6(a) workloads of [`fig6a`] (`NoSocial`/`Social`/`Entangled` ×
+//! `-T`/`-Q`), and in [`fig6bc`] the pending-transaction plans of
+//! Figure 6(b) and the spoke-hub / cyclic coordination structures of
+//! Figure 6(c).
 //!
 //! Everything is seeded and deterministic, so bench results replay.
 
 pub mod fig6a;
 pub mod fig6bc;
-pub mod hotcycle;
-pub mod pointmix;
-pub mod rangemix;
-pub mod readmix;
-pub mod shardmix;
 pub mod social;
 pub mod travel;
 
@@ -34,15 +20,5 @@ pub use fig6bc::{
     cyclic_group, generate_structured, partnerless_program, pending_plan, spoke_hub_group,
     PendingPlan, Structure,
 };
-pub use hotcycle::{generate_hot_cycle, HOT_TABLES};
-pub use pointmix::{
-    generate_point_mix, point_index_script, point_reader, point_seed_script, point_writer,
-};
-pub use rangemix::{
-    day_literal, generate_range_mix, range_booker, range_index_script, range_inserter,
-    range_reader, range_seed_script, HORIZON_DAYS, WINDOW_DAYS,
-};
-pub use readmix::{generate_read_mix, read_mix_reader, read_mix_writer};
-pub use shardmix::{generate_shard_mix, shard_index_script, SHARD_TABLES};
 pub use social::SocialGraph;
 pub use travel::{city, engine_config, scheduler_for, TravelData, TravelParams, WorkloadMode};

@@ -105,17 +105,12 @@ fn allowed_deps() -> BTreeMap<&'static str, Vec<&'static str>> {
             "youtopia-wal",
         ],
     );
-    m.insert(
-        "youtopia-workload",
-        vec!["entangled-txn", "youtopia-storage"],
-    );
+    m.insert("youtopia-workload", vec!["entangled-txn"]);
     m.insert(
         "youtopia-bench",
         vec![
             "entangled-txn",
-            "youtopia-audit",
             "youtopia-entangle",
-            "youtopia-isolation",
             "youtopia-lock",
             "youtopia-sql",
             "youtopia-storage",
@@ -171,11 +166,6 @@ fn check_layering(root: &Path, findings: &mut Vec<String>) {
             continue;
         };
         for dep in workspace_deps(&text) {
-            // The umbrella's dev-dependency on the bench harness is the
-            // one sanctioned upward edge outside the DAG map.
-            if name == "entangled-transactions" && dep == "youtopia-bench" {
-                continue;
-            }
             if !allow.contains(&dep.as_str()) {
                 findings.push(format!(
                     "{}: layering violation — '{name}' must not depend on '{dep}'",
