@@ -16,15 +16,14 @@
 use crate::engine::{Engine, IsolationMode, LockGranularity};
 use crate::error::EngineError;
 use crate::program::{Txn, Undo};
-use std::cell::RefCell;
 use youtopia_lock::{LockMode, Resource, TxId};
 use youtopia_sql::{
     access_plan, lower_const_scalar, lower_row_scalar, lower_select, lower_table_cond, AccessPlan,
-    IndexProbe, RangeProbe, Select, Statement, VarEnv,
+    Cond, IndexProbe, RangeProbe, Scalar, Select, Statement, VarEnv,
 };
 use youtopia_storage::{
-    eval_spj_counted, eval_spj_rows, CatalogSnapshot, CommitTs, Expr, IndexKind, Row, RowId,
-    ScanStats, SnapshotTables, StorageError, Table, TableProvider, Value,
+    eval_spj_counted, eval_spj_rows, CatalogSnapshot, Expr, IndexKind, Row, RowId, ScanStats,
+    StorageError, Table, TableProvider, Value,
 };
 use youtopia_wal::LogRecord;
 
@@ -57,18 +56,18 @@ use youtopia_wal::LogRecord;
 /// ## The snapshot read path
 ///
 /// A transaction whose attempt pinned a snapshot (`Txn::snapshot`; every
-/// read-only classical program) never reaches the locked SELECT path at
-/// all: its statements evaluate against [`SnapshotTables`] — owned copies
-/// of each table as visible at the pinned commit timestamp, materialized
-/// once per transaction advance and cached here. No 2PL lock, no latch beyond the one short read latch
-/// per table taken during materialization. Writers can commit freely
-/// underneath; the snapshot, by the visibility rule, never sees them.
+/// read-only classical program) runs the same SELECT arm as everyone
+/// else with two differences: it skips the lock step, and its read view
+/// carries the pinned commit timestamp ([`youtopia_storage::TableView::at`]),
+/// so every candidate row — probed through the live history-union index
+/// or walked by a scan — is resolved through its version chain as of that
+/// timestamp. It holds exactly the sorted read latches a locked read
+/// holds, never waits on a 2PL lock and takes none. Writers can commit
+/// freely underneath; the snapshot, by the visibility rule, never sees
+/// them.
 pub struct TxnContext<'e> {
     engine: &'e Engine,
     snapshot: CatalogSnapshot,
-    /// Per-advance cache of snapshot-materialized tables (`Arc`-shared;
-    /// grown lazily as statements touch tables).
-    snapshot_tables: RefCell<Option<SnapshotTables>>,
 }
 
 impl std::fmt::Debug for TxnContext<'_> {
@@ -85,125 +84,7 @@ impl<'e> TxnContext<'e> {
         TxnContext {
             engine,
             snapshot: engine.catalog.snapshot(),
-            snapshot_tables: RefCell::new(None),
         }
-    }
-
-    /// The snapshot-materialized view of the named tables at `ts`,
-    /// extending the per-advance cache with any table not yet present.
-    /// Tables come from the engine's epoch-keyed materialization cache
-    /// ([`Engine::snapshot_table`]), so an unchanged table is copied once
-    /// per committed write to it — not once per reader. Returns an owned
-    /// handle (`Arc` clones — cheap). Unknown names are skipped; lookups
-    /// then fail with `NoSuchTable`, mirroring the locked path.
-    fn snapshot_view(&self, names: &[String], ts: CommitTs) -> SnapshotTables {
-        let mut cache = self.snapshot_tables.borrow_mut();
-        let view = cache.get_or_insert_with(|| SnapshotTables::from_parts(ts, []));
-        let missing: Vec<&String> = names.iter().filter(|n| !view.contains(n)).collect();
-        if !missing.is_empty() {
-            view.absorb(SnapshotTables::from_parts(
-                ts,
-                missing
-                    .into_iter()
-                    .filter_map(|n| self.engine.snapshot_table(n, ts)),
-            ));
-        }
-        view.clone()
-    }
-
-    /// Serve a single-table snapshot SELECT through the **live** table's
-    /// history-union index: probe under one short read latch, resolve
-    /// every candidate through its version chain at `ts`
-    /// ([`Table::visible_row`]), and evaluate the full predicate over the
-    /// survivors. No lock, no latch beyond the probe — and no
-    /// materialized copy, which is exactly the per-`(timestamp, epoch)`
-    /// index rebuild this path deletes (`index_rebuilds_avoided`).
-    /// Returns `None` when the plan is a scan (the caller materializes).
-    fn snapshot_probe(
-        &self,
-        table: &str,
-        q: &youtopia_storage::SpjQuery,
-        ts: CommitTs,
-        stats: &mut ScanStats,
-    ) -> Result<Option<youtopia_storage::QueryOutput>, EngineError> {
-        let plan = {
-            let names = [table.to_string()];
-            let _latches = self.engine.latch_tokens(&names);
-            let view = self.snapshot.read_view(&names);
-            access_plan(&view, table, &q.predicate)?
-        };
-        let handle = self.snapshot.handle(table)?;
-        let candidates: Vec<(RowId, Row)> = {
-            let _latch = self.engine.latch_token(table);
-            let guard = handle.read();
-            let named = guard.named_indexes();
-            let ids: Vec<RowId> = match &plan {
-                AccessPlan::Point(p) => named
-                    .get(&p.index)
-                    .map(|ix| ix.probe(&p.key).to_vec())
-                    .unwrap_or_default(),
-                AccessPlan::Range(rp) => named
-                    .get(&rp.index)
-                    .and_then(|ix| ix.probe_range(&rp.prefix, rp.lo_ref(), rp.hi_ref()))
-                    .unwrap_or_default(),
-                AccessPlan::Scan => return Ok(None),
-            };
-            ids.into_iter()
-                .filter_map(|id| guard.visible_row(id, ts).map(|r| (id, r.clone())))
-                .collect()
-        };
-        stats.index_lookups += 1;
-        stats.rows_scanned += candidates.len() as u64;
-        stats.index_rebuilds_avoided += 1;
-        Ok(Some(eval_spj_rows(q, &candidates)?))
-    }
-
-    /// Execute one SELECT on the snapshot read path: lower and evaluate
-    /// against the pinned committed versions, acquiring **no** locks.
-    fn select_at_snapshot(
-        &self,
-        txn: &mut Txn,
-        sel: &Select,
-        ts: CommitTs,
-    ) -> Result<(), EngineError> {
-        let mut stats = ScanStats::default();
-        let mut footprint = Vec::new();
-        sel.collect_tables(&mut footprint);
-        // Lowering needs schemas only; resolve against the live catalog so
-        // the probe path below can skip materialization entirely.
-        let lowered = {
-            let _latches = self.engine.latch_tokens(&footprint);
-            let view = self.snapshot.read_view(&footprint);
-            lower_select(&view, sel, &txn.env)?
-        };
-        let mut tables = lowered.query.tables.clone();
-        tables.sort();
-        tables.dedup();
-        let out = match tables.as_slice() {
-            [table] => match self.snapshot_probe(table, &lowered.query, ts, &mut stats)? {
-                Some(out) => out,
-                None => {
-                    let view = self.snapshot_view(&tables, ts);
-                    eval_spj_counted(&view, &lowered.query, &mut stats)?
-                }
-            },
-            _ => {
-                let view = self.snapshot_view(&tables, ts);
-                eval_spj_counted(&view, &lowered.query, &mut stats)?
-            }
-        };
-        self.engine.note_scan(stats);
-        if self.engine.config.record_history {
-            for t in &tables {
-                self.engine.recorder.snapshot_read(txn.tx, t);
-            }
-        }
-        if let Some(row) = out.rows.first() {
-            for (idx, var) in &lowered.bindings {
-                txn.env.insert(var.clone(), row[*idx].clone());
-            }
-        }
-        Ok(())
     }
 
     fn lock(&self, tx: u64, res: Resource, mode: LockMode) -> Result<(), EngineError> {
@@ -226,16 +107,77 @@ impl<'e> TxnContext<'e> {
         }
     }
 
-    /// Two-level lock acquisition for an index point access: intention
-    /// mode on the table, `mode` on the index-key resource, then `mode`
-    /// on every candidate row the probe returns. The key lock is what
-    /// makes the candidate set stable — any statement that would add or
-    /// remove a row at this key must take X on the same resource first —
-    /// so probing *after* the key lock is granted cannot miss or leak
-    /// membership. Returns the candidate row ids (row locks held).
+    /// The candidate row ids of an index-served plan, read from the live
+    /// history-union index under one short latch — no lock is taken, so
+    /// the caller either already holds the key locks that freeze the
+    /// probed membership or is a snapshot reader that does not need them.
+    /// Postings may be stale; consumers resolve every id through
+    /// [`Table::row_at`] and re-apply the predicate.
+    fn probe_ids(&self, table: &str, plan: &AccessPlan) -> Result<Vec<RowId>, EngineError> {
+        let handle = self.snapshot.handle(table)?;
+        let ids = {
+            let _latch = self.engine.latch_token(table);
+            let guard = handle.read();
+            let named = guard.named_indexes();
+            match plan {
+                AccessPlan::Point(p) => named.get(&p.index).map(|ix| ix.probe(&p.key).to_vec()),
+                AccessPlan::Range(rp) => named
+                    .get(&rp.index)
+                    .and_then(|ix| ix.probe_range(&rp.prefix, rp.lo_ref(), rp.hi_ref())),
+                AccessPlan::Scan => None,
+            }
+            .unwrap_or_default()
+        };
+        self.engine.note_scan(ScanStats {
+            rows_scanned: ids.len() as u64,
+            index_lookups: 1,
+        });
+        Ok(ids)
+    }
+
+    /// The row ids an index-served `plan` reads (`None` for a scan). With
+    /// `modes = Some((table mode, key/row mode))` the plan's 2PL locks are
+    /// acquired around the probe ([`Self::lock_index_point`] then row
+    /// locks, or [`Self::lock_index_range`]); a snapshot attempt passes
+    /// `None` and only probes.
     ///
     /// Latch discipline: the probe's read latch is dropped before any row
     /// lock is requested — lock waits never happen under a latch.
+    fn plan_ids(
+        &self,
+        tx: u64,
+        table: &str,
+        plan: &AccessPlan,
+        modes: Option<(LockMode, LockMode)>,
+    ) -> Result<Option<Vec<RowId>>, EngineError> {
+        match (plan, modes) {
+            (AccessPlan::Scan, _) => return Ok(None),
+            (AccessPlan::Range(rp), Some((table_mode, mode))) => {
+                return self
+                    .lock_index_range(tx, table, rp, table_mode, mode)
+                    .map(Some)
+            }
+            (AccessPlan::Point(p), Some((table_mode, mode))) => {
+                self.lock_index_point(tx, table, p, table_mode, mode)?
+            }
+            (_, None) => {}
+        }
+        let ids = self.probe_ids(table, plan)?;
+        if let Some((_, mode)) = modes {
+            for id in &ids {
+                self.lock(tx, Resource::row(table, id.0), mode)?;
+            }
+        }
+        Ok(Some(ids))
+    }
+
+    /// The first two levels of lock acquisition for an index point access:
+    /// intention mode on the table, then `mode` on the index-key resource
+    /// (the caller then takes `mode` on every candidate row its probe
+    /// returns). The key lock is what makes the candidate set stable — any
+    /// statement that would add or remove a row at this key must take X
+    /// on the same resource first — so probing *after* the key lock is
+    /// granted cannot miss or leak membership.
     fn lock_index_point(
         &self,
         tx: u64,
@@ -243,32 +185,13 @@ impl<'e> TxnContext<'e> {
         probe: &IndexProbe,
         table_mode: LockMode,
         mode: LockMode,
-    ) -> Result<Vec<RowId>, EngineError> {
+    ) -> Result<(), EngineError> {
         self.lock(tx, Resource::table(table), table_mode)?;
         self.lock(
             tx,
             index_key_resource(table, &probe.index, &probe.key),
             mode,
-        )?;
-        let handle = self.snapshot.handle(table)?;
-        let ids: Vec<RowId> = {
-            let _latch = self.engine.latch_token(table);
-            let guard = handle.read();
-            guard
-                .named_indexes()
-                .get(&probe.index)
-                .map(|i| i.probe(&probe.key).to_vec())
-                .unwrap_or_default()
-        };
-        for id in &ids {
-            self.lock(tx, Resource::row(table, id.0), mode)?;
-        }
-        self.engine.note_scan(ScanStats {
-            rows_scanned: ids.len() as u64,
-            index_lookups: 1,
-            ..ScanStats::default()
-        });
-        Ok(ids)
+        )
     }
 
     /// Next-key lock acquisition for a range access over a btree index:
@@ -338,14 +261,20 @@ impl<'e> TxnContext<'e> {
                         None => index_eof_resource(table, &rp.index),
                     },
                 );
-                let ids: Vec<RowId> = entries.iter().flat_map(|(_, ids)| ids.clone()).collect();
+                // Once each: a row re-keyed within the range is posted
+                // under its old key too until vacuum.
+                let mut seen = std::collections::HashSet::new();
+                let ids: Vec<RowId> = entries
+                    .iter()
+                    .flat_map(|(_, ids)| ids.iter().copied())
+                    .filter(|id| seen.insert(*id))
+                    .collect();
                 for id in &ids {
                     self.lock(tx, Resource::row(table, id.0), mode)?;
                 }
                 self.engine.note_scan(ScanStats {
                     rows_scanned: ids.len() as u64,
                     index_lookups: 1,
-                    ..ScanStats::default()
                 });
                 return Ok(ids);
             }
@@ -440,62 +369,50 @@ impl<'e> TxnContext<'e> {
     }
 
     /// Lock and collect the target rows of an UPDATE/DELETE. With a point
-    /// or range plan at row granularity the statement takes table IX +
-    /// key/next-key X + row X and touches only the probe's candidates;
-    /// otherwise it falls back to the write-scan protocol (table X, or
-    /// S + IX + row X) over a full scan. Probed targets are re-read and
-    /// re-filtered after their row locks are granted: the key locks
-    /// freeze index membership, but a racing writer that held a
-    /// candidate's row lock first may have changed its non-key columns
-    /// before releasing — and history-union postings can be stale, which
-    /// the same re-filter screens out.
+    /// or range plan (row granularity only — the caller plans a scan
+    /// otherwise) the statement takes table IX + key/next-key X + row X
+    /// and touches only the probe's candidates; a scan plan falls back to
+    /// the write-scan protocol (table X, or S + IX + row X) over the whole
+    /// table. Probed targets are re-read and re-filtered after their row
+    /// locks are granted: the key locks freeze index membership, but a
+    /// racing writer that held a candidate's row lock first may have
+    /// changed its non-key columns before releasing — and history-union
+    /// postings can be stale, which the same re-filter screens out.
     fn write_targets(
         &self,
         tx: u64,
         table: &str,
-        handle: &youtopia_storage::TableHandle,
         pred: &Expr,
         plan: &AccessPlan,
-    ) -> Result<Vec<(RowId, Vec<Value>)>, EngineError> {
-        let config = &self.engine.config;
-        if config.granularity == LockGranularity::Row {
-            let ids = match plan {
-                AccessPlan::Point(p) => {
-                    Some(self.lock_index_point(tx, table, p, LockMode::IX, LockMode::X)?)
+    ) -> Result<Vec<(RowId, Row)>, EngineError> {
+        let ids = self.plan_ids(tx, table, plan, Some((LockMode::IX, LockMode::X)))?;
+        if ids.is_none() {
+            self.lock_for_write_scan(tx, table)?;
+        }
+        let mut targets = Vec::new();
+        {
+            let _latch = self.engine.latch_token(table);
+            let guard = self.snapshot.handle(table)?.read();
+            let candidates: &mut dyn Iterator<Item = (RowId, &Row)> = match &ids {
+                Some(ids) => &mut ids.iter().filter_map(|id| guard.get(*id).map(|r| (*id, r))),
+                None => {
+                    self.engine.note_scan(ScanStats {
+                        rows_scanned: guard.len() as u64,
+                        index_lookups: 0,
+                    });
+                    &mut guard.scan()
                 }
-                AccessPlan::Range(rp) => {
-                    Some(self.lock_index_range(tx, table, rp, LockMode::IX, LockMode::X)?)
-                }
-                AccessPlan::Scan => None,
             };
-            if let Some(ids) = ids {
-                let _latch = self.engine.latch_token(table);
-                let guard = handle.read();
-                let mut targets = Vec::with_capacity(ids.len());
-                for id in ids {
-                    if let Some(row) = guard.get(id) {
-                        if pred
-                            .eval_bool(&[row.as_slice()])
-                            .map_err(|_| EngineError::Protocol("non-boolean WHERE"))?
-                        {
-                            targets.push((id, row.clone()));
-                        }
-                    }
+            for (id, row) in candidates {
+                if pred
+                    .eval_bool(&[row.as_slice()])
+                    .map_err(|_| EngineError::Protocol("non-boolean WHERE"))?
+                {
+                    targets.push((id, row.clone()));
                 }
-                return Ok(targets);
             }
         }
-        self.lock_for_write_scan(tx, table)?;
-        let targets = {
-            let _latch = self.engine.latch_token(table);
-            let guard = handle.read();
-            self.engine.note_scan(ScanStats {
-                rows_scanned: guard.len() as u64,
-                ..ScanStats::default()
-            });
-            collect_matches(&guard, pred)?
-        };
-        if config.granularity == LockGranularity::Row {
+        if ids.is_none() && self.engine.config.granularity == LockGranularity::Row {
             for (id, _) in &targets {
                 self.lock(tx, Resource::row(table, id.0), LockMode::X)?;
             }
@@ -503,164 +420,222 @@ impl<'e> TxnContext<'e> {
         Ok(targets)
     }
 
-    /// The named-index definitions of `table`, read under a short latch
-    /// (empty for unindexed tables — the common case pays one read guard
-    /// and no allocation).
-    fn named_index_defs(&self, table: &str) -> Result<Vec<IndexDef>, EngineError> {
+    /// Execute one SELECT: lower once, plan once, acquire the plan's locks
+    /// unless the attempt reads a pinned snapshot, evaluate on a view at
+    /// the attempt's visibility, record, bind.
+    fn select(&self, txn: &mut Txn, sel: &Select) -> Result<(), EngineError> {
+        let config = &self.engine.config;
+        let at = txn.snapshot;
+        // Lowering and planning need schemas and index statistics only;
+        // both read the live catalog whatever the attempt's visibility.
+        let mut footprint = Vec::new();
+        sel.collect_tables(&mut footprint);
+        let (lowered, plan) = {
+            let _latches = self.engine.latch_tokens(&footprint);
+            let view = self.snapshot.read_view(&footprint);
+            let lowered = lower_select(&view, sel, &txn.env)?;
+            // Index-served plans are single-table. A locked attempt takes
+            // one only where key locks exist (row granularity) and are
+            // allowed to outlive the statement: EarlyReadLockRelease's
+            // contract is statement-scoped table locks.
+            let probing = at.is_some()
+                || (config.granularity == LockGranularity::Row
+                    && config.isolation != IsolationMode::EarlyReadLockRelease);
+            let plan = match lowered.query.tables.as_slice() {
+                [table] if probing => access_plan(&view, table, &lowered.query.predicate)?,
+                _ => AccessPlan::Scan,
+            };
+            (lowered, plan)
+        };
+        let mut tables = lowered.query.tables.clone();
+        tables.sort();
+        tables.dedup();
+        // An index-served locked read takes table IS + index-key S (every
+        // in-range key plus the next key, for ranges) + row S on the
+        // candidates instead of a table S lock, so probing readers pass
+        // point writers on other rows. The key locks freeze index
+        // membership (phantom protection the table S lock used to provide
+        // — the successor lock closes the range-phantom hole); holding the
+        // locks to commit keeps the read repeatable.
+        let modes = at.is_none().then_some((LockMode::IS, LockMode::S));
+        let ids = match tables.first() {
+            Some(table) => self.plan_ids(txn.tx, table, &plan, modes)?,
+            None => None,
+        };
+        let out = match &ids {
+            // Candidates are already in hand (row-locked, or resolved at
+            // the pin): evaluate the full predicate over them directly —
+            // composite prefixes included, which the generic evaluator
+            // cannot serve.
+            Some(ids) => {
+                let _latch = self.engine.latch_token(&tables[0]);
+                let guard = self.snapshot.handle(&tables[0])?.read();
+                let rows = ids
+                    .iter()
+                    .filter_map(|id| guard.row_at(*id, at).map(|r| (*id, r)));
+                eval_spj_rows(&lowered.query, rows)?
+            }
+            None => {
+                if at.is_none() {
+                    for t in &tables {
+                        self.lock(txn.tx, Resource::table(t), LockMode::S)?;
+                    }
+                }
+                let _latches = self.engine.latch_tokens(&tables);
+                let view = self.snapshot.read_view(&tables).at(at);
+                let mut stats = ScanStats::default();
+                let out = eval_spj_counted(&view, &lowered.query, &mut stats)?;
+                self.engine.note_scan(stats);
+                out
+            }
+        };
+        if config.record_history {
+            let recorder = &self.engine.recorder;
+            match (at, &ids) {
+                (Some(_), _) => tables
+                    .iter()
+                    .for_each(|t| recorder.snapshot_read(txn.tx, t)),
+                (None, Some(ids)) => ids
+                    .iter()
+                    .for_each(|id| recorder.read_row(txn.tx, &tables[0], id.0)),
+                (None, None) => tables.iter().for_each(|t| recorder.read(txn.tx, t)),
+            }
+        }
+        // Bind host variables from the first row (MySQL-style
+        // SELECT-into-variable semantics used by Appendix D).
+        if let Some(row) = out.rows.first() {
+            for (idx, var) in &lowered.bindings {
+                txn.env.insert(var.clone(), row[*idx].clone());
+            }
+        }
+        if at.is_none() && ids.is_none() && config.isolation == IsolationMode::EarlyReadLockRelease
+        {
+            for t in &tables {
+                self.engine.locks.release(TxId(txn.tx), &Resource::table(t));
+            }
+        }
+        Ok(())
+    }
+
+    /// Execute one UPDATE (`sets = Some`) or DELETE (`sets = None`): one
+    /// target loop — key locks, heap mutation, redo, undo, history —
+    /// parameterised by the row each target becomes.
+    fn write_where(
+        &self,
+        txn: &mut Txn,
+        table: &str,
+        where_clause: &Cond,
+        sets: Option<&[(String, Scalar)]>,
+    ) -> Result<(), EngineError> {
+        let config = &self.engine.config;
         let handle = self.snapshot.handle(table)?;
-        let _latch = self.engine.latch_token(table);
-        let guard = handle.read();
-        Ok(guard
-            .named_indexes()
-            .iter()
-            .map(|i| IndexDef {
-                name: i.name().to_string(),
-                columns: i.columns().to_vec(),
-                kind: i.kind(),
-            })
-            .collect())
+        // Resolve names once per statement: the predicate and every SET
+        // scalar become index-bound expressions evaluated per row with no
+        // further lookups.
+        let (pred, set_exprs, plan, defs) = {
+            let _latch = self.engine.latch_token(table);
+            let view = self.snapshot.read_view(&[table]);
+            let t = view.table(table)?;
+            let pred = lower_table_cond(&view, table, where_clause, &txn.env)?;
+            let set_exprs: Vec<(usize, Expr)> = sets
+                .unwrap_or_default()
+                .iter()
+                .map(|(c, s)| {
+                    let idx = t
+                        .schema()
+                        .index_of(c)
+                        .ok_or_else(|| StorageError::NoSuchColumn {
+                            table: table.to_string(),
+                            column: c.clone(),
+                        })?;
+                    Ok((idx, lower_row_scalar(&view, table, s, &txn.env)?))
+                })
+                .collect::<Result<_, EngineError>>()?;
+            let plan = match config.granularity {
+                LockGranularity::Row => access_plan(&view, table, &pred)?,
+                LockGranularity::Table => AccessPlan::Scan,
+            };
+            (pred, set_exprs, plan, index_defs(t))
+        };
+        for (id, old) in self.write_targets(txn.tx, table, &pred, &plan)? {
+            let new: Option<Row> = match sets {
+                None => None,
+                Some(_) => {
+                    let mut new = old.clone();
+                    for (col, expr) in &set_exprs {
+                        new[*col] = expr
+                            .eval(&[old.as_slice()])
+                            .map_err(|_| EngineError::Protocol("invalid arithmetic"))?;
+                    }
+                    Some(new)
+                }
+            };
+            self.lock_index_keys_for_write(txn.tx, table, &defs, Some(&old), new.as_deref())?;
+            {
+                let _latch = self.engine.latch_token(table);
+                let mut guard = handle.write();
+                match &new {
+                    Some(new) => guard.update(id, new.clone()).map_err(StorageError::from)?,
+                    None => guard.delete(id),
+                }
+                .ok_or_else(|| StorageError::NoSuchRow {
+                    table: table.to_string(),
+                    row: id,
+                })?;
+            }
+            let (tx, row, name) = (txn.tx, id.0, table.to_string());
+            let (redo, undo) = match new {
+                Some(after) => (
+                    LogRecord::Update {
+                        tx,
+                        table: name.clone(),
+                        row,
+                        before: old.clone(),
+                        after,
+                    },
+                    Undo::Update {
+                        table: name,
+                        row,
+                        before: old,
+                    },
+                ),
+                None => (
+                    LogRecord::Delete {
+                        tx,
+                        table: name.clone(),
+                        row,
+                        before: old.clone(),
+                    },
+                    Undo::Delete {
+                        table: name,
+                        row,
+                        before: old,
+                    },
+                ),
+            };
+            txn.redo.push(redo);
+            txn.undo.push(undo);
+            if config.record_history {
+                let row = (config.granularity == LockGranularity::Row).then_some(id.0);
+                self.engine.recorder.write(txn.tx, table, row);
+            }
+        }
+        Ok(())
     }
 
     /// Execute one classical statement on behalf of `txn`.
     pub fn execute(&self, txn: &mut Txn, stmt: &Statement) -> Result<(), EngineError> {
         let config = &self.engine.config;
         // Snapshot attempts are read-only by construction (`Program::
-        // is_read_only`); route their SELECTs to the versioned path and
-        // refuse anything that would mutate state (defense in depth — the
-        // begin-time gate should make this unreachable).
-        if let Some(ts) = txn.snapshot {
-            return match stmt {
-                Statement::Select(sel) => self.select_at_snapshot(txn, sel, ts),
-                Statement::SetVar { name, expr } => {
-                    let v = lower_const_scalar(expr, &txn.env)?;
-                    txn.env.insert(name.clone(), v);
-                    Ok(())
-                }
-                _ => Err(EngineError::Protocol("snapshot transactions are read-only")),
-            };
+        // is_read_only`); refuse anything that would mutate state (defense
+        // in depth — the begin-time gate should make this unreachable).
+        if txn.snapshot.is_some()
+            && !matches!(stmt, Statement::Select(_) | Statement::SetVar { .. })
+        {
+            return Err(EngineError::Protocol("snapshot transactions are read-only"));
         }
         match stmt {
-            Statement::Select(sel) => {
-                // Lower against the statement's table footprint (needs
-                // schemas only), then take 2PL locks, then evaluate on
-                // freshly pinned read guards.
-                let mut footprint = Vec::new();
-                sel.collect_tables(&mut footprint);
-                let lowered = {
-                    let _latches = self.engine.latch_tokens(&footprint);
-                    let view = self.snapshot.read_view(&footprint);
-                    lower_select(&view, sel, &txn.env)?
-                };
-                let mut tables = lowered.query.tables.clone();
-                tables.sort();
-                tables.dedup();
-                // Index-backed point/range read: a single-table SELECT
-                // whose predicate the planner serves through a named index
-                // takes table IS + index-key S (every in-range key plus
-                // the next key, for ranges) + row S on the candidates
-                // instead of a table S lock, so probing readers pass point
-                // writers on other rows. The key locks freeze index
-                // membership (phantom protection the table S lock used to
-                // provide — the successor lock closes the range-phantom
-                // hole); holding the locks to commit keeps the read
-                // repeatable. Not under EarlyReadLockRelease: that
-                // ablation's contract is statement-scoped table locks.
-                if tables.len() == 1
-                    && config.granularity == LockGranularity::Row
-                    && config.isolation != IsolationMode::EarlyReadLockRelease
-                {
-                    let table = &tables[0];
-                    let plan = {
-                        let _latches = self.engine.latch_tokens(&tables);
-                        let view = self.snapshot.read_view(&tables);
-                        access_plan(&view, table, &lowered.query.predicate)?
-                    };
-                    let ids = match &plan {
-                        AccessPlan::Point(p) => Some(self.lock_index_point(
-                            txn.tx,
-                            table,
-                            p,
-                            LockMode::IS,
-                            LockMode::S,
-                        )?),
-                        AccessPlan::Range(rp) => Some(self.lock_index_range(
-                            txn.tx,
-                            table,
-                            rp,
-                            LockMode::IS,
-                            LockMode::S,
-                        )?),
-                        AccessPlan::Scan => None,
-                    };
-                    if let Some(ids) = ids {
-                        let out = match &plan {
-                            // Range candidates are already in hand (locked);
-                            // evaluate the residual predicate over them
-                            // directly — composite prefixes included, which
-                            // the generic evaluator cannot serve.
-                            AccessPlan::Range(_) => {
-                                let handle = self.snapshot.handle(table)?;
-                                let candidates: Vec<(RowId, Row)> = {
-                                    let _latch = self.engine.latch_token(table);
-                                    let guard = handle.read();
-                                    ids.iter()
-                                        .filter_map(|id| guard.get(*id).map(|r| (*id, r.clone())))
-                                        .collect()
-                                };
-                                eval_spj_rows(&lowered.query, &candidates)?
-                            }
-                            _ => {
-                                let _latches = self.engine.latch_tokens(&tables);
-                                let view = self.snapshot.read_view(&tables);
-                                let mut stats = ScanStats::default();
-                                let out = eval_spj_counted(&view, &lowered.query, &mut stats)?;
-                                self.engine.note_scan(stats);
-                                out
-                            }
-                        };
-                        if config.record_history {
-                            for id in &ids {
-                                self.engine.recorder.read_row(txn.tx, table, id.0);
-                            }
-                        }
-                        if let Some(row) = out.rows.first() {
-                            for (idx, var) in &lowered.bindings {
-                                txn.env.insert(var.clone(), row[*idx].clone());
-                            }
-                        }
-                        return Ok(());
-                    }
-                }
-                for t in &tables {
-                    self.lock(txn.tx, Resource::table(t), LockMode::S)?;
-                }
-                let out = {
-                    let _latches = self.engine.latch_tokens(&tables);
-                    let view = self.snapshot.read_view(&tables);
-                    let mut stats = ScanStats::default();
-                    let out = eval_spj_counted(&view, &lowered.query, &mut stats)?;
-                    self.engine.note_scan(stats);
-                    out
-                };
-                if config.record_history {
-                    for t in &tables {
-                        self.engine.recorder.read(txn.tx, t);
-                    }
-                }
-                // Bind host variables from the first row (MySQL-style
-                // SELECT-into-variable semantics used by Appendix D).
-                if let Some(row) = out.rows.first() {
-                    for (idx, var) in &lowered.bindings {
-                        txn.env.insert(var.clone(), row[*idx].clone());
-                    }
-                }
-                if config.isolation == IsolationMode::EarlyReadLockRelease {
-                    for t in &tables {
-                        self.engine.locks.release(TxId(txn.tx), &Resource::table(t));
-                    }
-                }
-                Ok(())
-            }
+            Statement::Select(sel) => self.select(txn, sel),
             Statement::Insert {
                 table,
                 columns,
@@ -675,13 +650,14 @@ impl<'e> TxnContext<'e> {
                     }
                 }
                 let handle = self.snapshot.handle(table)?;
-                let row = {
+                let (row, defs) = {
                     let _latch = self.engine.latch_token(table);
-                    build_insert_row(&handle.read(), table, columns, values, &txn.env)?
+                    let guard = handle.read();
+                    let row = build_insert_row(&guard, table, columns, values, &txn.env)?;
+                    (row, index_defs(&guard))
                 };
                 // Key locks precede the heap insert: a point reader holding
                 // key S must not see this row appear mid-transaction.
-                let defs = self.named_index_defs(table)?;
                 self.lock_index_keys_for_write(txn.tx, table, &defs, None, Some(&row))?;
                 let id = {
                     let _latch = self.engine.latch_token(table);
@@ -714,115 +690,11 @@ impl<'e> TxnContext<'e> {
                 table,
                 sets,
                 where_clause,
-            } => {
-                let handle = self.snapshot.handle(table)?;
-                // Resolve names once per statement: the predicate and every
-                // SET scalar become index-bound expressions evaluated per
-                // row with no further lookups.
-                let (pred, set_exprs, plan) = {
-                    let _latch = self.engine.latch_token(table);
-                    let view = self.snapshot.read_view(std::slice::from_ref(table));
-                    let schema = view.table(table)?.schema();
-                    let pred = lower_table_cond(&view, table, where_clause, &txn.env)?;
-                    let set_exprs: Vec<(usize, Expr)> =
-                        sets.iter()
-                            .map(|(c, s)| {
-                                let idx = schema.index_of(c).ok_or_else(|| {
-                                    StorageError::NoSuchColumn {
-                                        table: table.clone(),
-                                        column: c.clone(),
-                                    }
-                                })?;
-                                Ok((idx, lower_row_scalar(&view, table, s, &txn.env)?))
-                            })
-                            .collect::<Result<_, EngineError>>()?;
-                    let plan = access_plan(&view, table, &pred)?;
-                    (pred, set_exprs, plan)
-                };
-                let defs = self.named_index_defs(table)?;
-                let targets = self.write_targets(txn.tx, table, handle, &pred, &plan)?;
-                for (id, old) in targets {
-                    let mut new = old.clone();
-                    for (col, expr) in &set_exprs {
-                        new[*col] = expr
-                            .eval(&[old.as_slice()])
-                            .map_err(|_| EngineError::Protocol("invalid arithmetic"))?;
-                    }
-                    self.lock_index_keys_for_write(txn.tx, table, &defs, Some(&old), Some(&new))?;
-                    {
-                        let _latch = self.engine.latch_token(table);
-                        handle
-                            .write()
-                            .update(id, new.clone())
-                            .map_err(StorageError::from)?
-                            .ok_or_else(|| StorageError::NoSuchRow {
-                                table: table.clone(),
-                                row: id,
-                            })?;
-                    }
-                    txn.redo.push(LogRecord::Update {
-                        tx: txn.tx,
-                        table: table.clone(),
-                        row: id.0,
-                        before: old.clone(),
-                        after: new,
-                    });
-                    txn.undo.push(Undo::Update {
-                        table: table.clone(),
-                        row: id.0,
-                        before: old,
-                    });
-                    if config.record_history {
-                        let row = (config.granularity == LockGranularity::Row).then_some(id.0);
-                        self.engine.recorder.write(txn.tx, table, row);
-                    }
-                }
-                Ok(())
-            }
+            } => self.write_where(txn, table, where_clause, Some(sets)),
             Statement::Delete {
                 table,
                 where_clause,
-            } => {
-                let handle = self.snapshot.handle(table)?;
-                let (pred, plan) = {
-                    let _latch = self.engine.latch_token(table);
-                    let view = self.snapshot.read_view(std::slice::from_ref(table));
-                    let pred = lower_table_cond(&view, table, where_clause, &txn.env)?;
-                    let plan = access_plan(&view, table, &pred)?;
-                    (pred, plan)
-                };
-                let defs = self.named_index_defs(table)?;
-                let targets = self.write_targets(txn.tx, table, handle, &pred, &plan)?;
-                for (id, old) in targets {
-                    self.lock_index_keys_for_write(txn.tx, table, &defs, Some(&old), None)?;
-                    {
-                        let _latch = self.engine.latch_token(table);
-                        handle
-                            .write()
-                            .delete(id)
-                            .ok_or_else(|| StorageError::NoSuchRow {
-                                table: table.clone(),
-                                row: id,
-                            })?;
-                    }
-                    txn.redo.push(LogRecord::Delete {
-                        tx: txn.tx,
-                        table: table.clone(),
-                        row: id.0,
-                        before: old.clone(),
-                    });
-                    txn.undo.push(Undo::Delete {
-                        table: table.clone(),
-                        row: id.0,
-                        before: old,
-                    });
-                    if config.record_history {
-                        let row = (config.granularity == LockGranularity::Row).then_some(id.0);
-                        self.engine.recorder.write(txn.tx, table, row);
-                    }
-                }
-                Ok(())
-            }
+            } => self.write_where(txn, table, where_clause, None),
             Statement::SetVar { name, expr } => {
                 let v = lower_const_scalar(expr, &txn.env)?;
                 txn.env.insert(name.clone(), v);
@@ -880,6 +752,19 @@ struct IndexDef {
     kind: IndexKind,
 }
 
+/// The named-index definitions of `t` (empty for unindexed tables — the
+/// common case allocates nothing).
+fn index_defs(t: &Table) -> Vec<IndexDef> {
+    t.named_indexes()
+        .iter()
+        .map(|i| IndexDef {
+            name: i.name().to_string(),
+            columns: i.columns().to_vec(),
+            kind: i.kind(),
+        })
+        .collect()
+}
+
 impl IndexDef {
     /// The key this index posts for `row`: bare value for single-column
     /// indexes, composite tuple in declaration order otherwise — must
@@ -923,17 +808,4 @@ pub(crate) fn build_insert_row(
             Ok(row)
         }
     }
-}
-
-fn collect_matches(t: &Table, pred: &Expr) -> Result<Vec<(RowId, Vec<Value>)>, EngineError> {
-    let mut out = Vec::new();
-    for (id, row) in t.scan() {
-        if pred
-            .eval_bool(&[row.as_slice()])
-            .map_err(|_| EngineError::Protocol("non-boolean WHERE"))?
-        {
-            out.push((id, row.clone()));
-        }
-    }
-    Ok(out)
 }

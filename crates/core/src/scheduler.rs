@@ -95,8 +95,8 @@ impl Default for CheckpointPolicy {
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Concurrent connections (worker threads per run). `1` gives fully
-    /// deterministic execution.
+    /// Concurrent connections (threads advancing transactions per run, the
+    /// caller's included). `1` gives fully deterministic execution.
     pub connections: usize,
     pub trigger: RunTrigger,
     /// Retry ceiling per transaction (the `WITH TIMEOUT` deadline is the
@@ -383,69 +383,35 @@ impl Scheduler {
         }
     }
 
-    /// Advance the given transactions until block/ready/abort, using up to
-    /// `connections` worker threads.
+    /// Advance the given transactions until block/ready/abort on up to
+    /// `connections` threads, the calling thread among them. At `n`
+    /// connections exactly `n` threads are runnable and each transaction is
+    /// advanced in place, so no thread wakes per transaction to collect
+    /// results: on a host with `n` cores a run's time does not hang on
+    /// where the kernel fits an `n + 1`-th thread.
     fn advance_parallel(&self, run: &mut [Txn], indices: &[usize]) {
-        if indices.is_empty() {
-            return;
-        }
         let workers = self.config.connections.max(1).min(indices.len());
-        // Classical transactions are executed "as-is" (§5.1): a transaction
-        // that reaches ready-to-commit without having entangled has no
-        // group-commit constraint and commits immediately, releasing its
-        // locks mid-run instead of holding them to the settle point.
-        let eager_commit = |txn: &mut Txn| {
+        let queue = parking_lot::Mutex::new(disjoint_muts(run, indices).into_iter());
+        let work = || loop {
+            let next = queue.lock().next();
+            let Some(txn) = next else { break };
+            self.engine.run_until_block(txn);
+            // Classical transactions are executed "as-is" (§5.1): a
+            // transaction that reaches ready-to-commit without having
+            // entangled has no group-commit constraint and commits
+            // immediately, releasing its locks mid-run instead of holding
+            // them to the settle point.
             if txn.status == TxnStatus::ReadyToCommit && !self.engine.groups.is_grouped(txn.tx) {
                 self.engine.commit_group(&mut [txn]);
             }
         };
-        if workers == 1 {
-            for &i in indices {
-                self.engine.run_until_block(&mut run[i]);
-                eager_commit(&mut run[i]);
-            }
-            return;
-        }
-        let engine = &self.engine;
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<(usize, Txn)>();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, Txn)>();
-        // Move the txns out, process, move back.
-        let mut slots: Vec<Option<Txn>> = run.iter_mut().map(|_| None).collect();
-        for &i in indices {
-            let txn = std::mem::replace(
-                &mut run[i],
-                Txn::new(ClientId(0), 0, Program::from_statements(vec![], None)),
-            );
-            task_tx.send((i, txn)).expect("open channel");
-        }
-        drop(task_tx);
         crossbeam::scope(|s| {
-            for _ in 0..workers {
-                let task_rx = task_rx.clone();
-                let done_tx = done_tx.clone();
-                s.spawn(move |_| {
-                    while let Ok((i, mut txn)) = task_rx.recv() {
-                        engine.run_until_block(&mut txn);
-                        if txn.status == TxnStatus::ReadyToCommit
-                            && !engine.groups.is_grouped(txn.tx)
-                        {
-                            engine.commit_group(&mut [&mut txn]);
-                        }
-                        done_tx.send((i, txn)).expect("open channel");
-                    }
-                });
+            for _ in 1..workers {
+                s.spawn(|_| work());
             }
-            drop(done_tx);
-            while let Ok((i, txn)) = done_rx.recv() {
-                slots[i] = Some(txn);
-            }
+            work();
         })
         .expect("worker panicked");
-        for (i, slot) in slots.into_iter().enumerate() {
-            if let Some(txn) = slot {
-                run[i] = txn;
-            }
-        }
     }
 
     /// Apply end-of-run outcomes: group commit for fully-ready groups,

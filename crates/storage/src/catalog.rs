@@ -5,10 +5,10 @@
 //! the isolation story lives entirely in the lock manager, as in the paper's
 //! prototype (which delegated locking to the DBMS).
 
+use crate::mvcc::CommitTs;
 use crate::schema::Schema;
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -54,11 +54,19 @@ impl From<crate::schema::SchemaError> for StorageError {
 pub trait TableProvider {
     /// Look up a table by name.
     fn table(&self, name: &str) -> Result<&Table, StorageError>;
+
+    /// The commit timestamp this provider's rows are read *as of*, or
+    /// `None` for working state. Evaluation resolves every row it touches
+    /// accordingly ([`Table::row_at`] for probed candidates,
+    /// [`Table::scan`] or [`Table::snapshot_scan`] for scanned stages).
+    fn as_of(&self) -> Option<CommitTs> {
+        None
+    }
 }
 
 /// A database: table name → table. Names are case-insensitive and stored
 /// lower-cased; the original casing is kept inside [`Table::name`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
 }
@@ -333,7 +341,7 @@ mod tests {
         assert_eq!(hits.len(), 1);
         db.table_mut("Flights")
             .unwrap()
-            .create_index(&["dest"])
+            .create_named_index("flights_dest", &["dest"], crate::IndexKind::Hash)
             .unwrap();
         let hits = db
             .select_eq("Flights", &[("dest", Value::str("LA"))])

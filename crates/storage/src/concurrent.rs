@@ -146,7 +146,8 @@ impl CatalogSnapshot {
     /// sorted key order so concurrent multi-table readers cannot deadlock).
     /// Unknown names are skipped — the resulting view reports
     /// [`StorageError::NoSuchTable`] on lookup, letting lowering produce
-    /// its own (better) unknown-table errors.
+    /// its own (better) unknown-table errors. The view reads working
+    /// state; [`TableView::at`] turns it into a snapshot read.
     pub fn read_view<S: AsRef<str>>(&self, names: &[S]) -> TableView<'_> {
         let mut keys: Vec<String> = names
             .iter()
@@ -159,6 +160,7 @@ impl CatalogSnapshot {
                 .into_iter()
                 .filter_map(|k| self.tables.get(&k).map(|h| (k, h.read())))
                 .collect(),
+            as_of: None,
         }
     }
 
@@ -171,32 +173,6 @@ impl CatalogSnapshot {
             .collect()
     }
 
-    /// Materialize the named tables as visible at snapshot timestamp `ts`
-    /// (see [`Table::snapshot_at`]): each table takes one short read latch
-    /// for the copy (sorted key order, per the module's deadlock
-    /// discipline) and the result is an owned, immutable
-    /// [`SnapshotTables`] that no reader ever latches or locks again.
-    /// Unknown names are skipped, mirroring [`CatalogSnapshot::read_view`].
-    pub fn snapshot_tables<S: AsRef<str>>(&self, names: &[S], ts: CommitTs) -> SnapshotTables {
-        let mut keys: Vec<String> = names
-            .iter()
-            .map(|n| ConcurrentCatalog::key(n.as_ref()))
-            .collect();
-        keys.sort();
-        keys.dedup();
-        SnapshotTables {
-            ts,
-            tables: keys
-                .into_iter()
-                .filter_map(|k| {
-                    self.tables
-                        .get(&k)
-                        .map(|h| (k, Arc::new(h.read().snapshot_at(ts))))
-                })
-                .collect(),
-        }
-    }
-
     /// Read guards on every table in the snapshot.
     pub fn read_all(&self) -> TableView<'_> {
         TableView {
@@ -206,14 +182,24 @@ impl CatalogSnapshot {
                 .iter()
                 .map(|(k, h)| (k.clone(), h.read()))
                 .collect(),
+            as_of: None,
         }
     }
 }
 
 /// A set of held table read guards, usable wherever a read-only
 /// [`Database`] was: lowering, grounding, SPJ evaluation.
+///
+/// Visibility is a property of the view, not of the tables behind it:
+/// with `as_of` unset the evaluator reads working state (what 2PL-locked
+/// execution wants); with `as_of = Some(ts)` it resolves every candidate
+/// row through its version chain as of commit timestamp `ts`, on the same
+/// live tables and through the same history-union indexes. A snapshot
+/// read is therefore a timestamp on the view — nothing is copied, and
+/// nothing has to be invalidated when a writer commits.
 pub struct TableView<'a> {
     guards: BTreeMap<String, RwLockReadGuard<'a, Table>>,
+    as_of: Option<CommitTs>,
 }
 
 impl fmt::Debug for TableView<'_> {
@@ -225,6 +211,13 @@ impl fmt::Debug for TableView<'_> {
 }
 
 impl TableView<'_> {
+    /// Read the held tables at `as_of`: `None` is working state,
+    /// `Some(ts)` the committed history as of `ts`.
+    pub fn at(mut self, as_of: Option<CommitTs>) -> Self {
+        self.as_of = as_of;
+        self
+    }
+
     /// Iterate the held tables in deterministic (sorted-key) order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.guards.values().map(|g| &**g)
@@ -238,71 +231,9 @@ impl TableProvider for TableView<'_> {
             .map(|g| &**g)
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
-}
 
-/// An owned set of tables materialized as of one snapshot timestamp
-/// ([`CatalogSnapshot::snapshot_tables`]). Usable wherever a read-only
-/// [`Database`] was — lowering, SPJ evaluation — but backed by committed
-/// versions instead of latched working state: evaluating against it takes
-/// no latches and no 2PL locks. Tables are `Arc`-shared so a transaction
-/// can cache materializations across its statements cheaply.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotTables {
-    ts: CommitTs,
-    tables: BTreeMap<String, Arc<Table>>,
-}
-
-impl SnapshotTables {
-    /// Assemble a view from already-materialized tables (e.g. the
-    /// engine's epoch-keyed materialization cache). Keys are derived from
-    /// each table's own name, case-insensitively.
-    pub fn from_parts(
-        ts: CommitTs,
-        tables: impl IntoIterator<Item = Arc<Table>>,
-    ) -> SnapshotTables {
-        SnapshotTables {
-            ts,
-            tables: tables
-                .into_iter()
-                .map(|t| (ConcurrentCatalog::key(t.name()), t))
-                .collect(),
-        }
-    }
-
-    /// The snapshot timestamp these tables were materialized at.
-    pub fn ts(&self) -> CommitTs {
-        self.ts
-    }
-
-    /// Merge in tables from another materialization at the same timestamp
-    /// (used when lowering discovers tables beyond the statement's
-    /// syntactic footprint). Existing entries win.
-    pub fn absorb(&mut self, other: SnapshotTables) {
-        debug_assert_eq!(self.ts, other.ts, "snapshots must share a timestamp");
-        for (k, t) in other.tables {
-            self.tables.entry(k).or_insert(t);
-        }
-    }
-
-    /// Whether the named table is already materialized.
-    pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&ConcurrentCatalog::key(name))
-    }
-
-    /// Insert or **replace** one table (unlike [`SnapshotTables::absorb`],
-    /// which keeps existing entries). Used when a probing reader upgrades
-    /// an index-less materialization to an indexed one mid-transaction.
-    pub fn upsert(&mut self, t: Arc<Table>) {
-        self.tables.insert(ConcurrentCatalog::key(t.name()), t);
-    }
-}
-
-impl TableProvider for SnapshotTables {
-    fn table(&self, name: &str) -> Result<&Table, StorageError> {
-        self.tables
-            .get(&ConcurrentCatalog::key(name))
-            .map(|t| &**t)
-            .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
+    fn as_of(&self) -> Option<CommitTs> {
+        self.as_of
     }
 }
 
@@ -402,7 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_tables_serve_committed_versions_only() {
+    fn as_of_view_serves_committed_versions_only() {
+        use crate::{eval_spj, Expr, SpjQuery};
         let c = catalog();
         {
             let h = c.handle("Flights").unwrap();
@@ -413,22 +345,27 @@ mod tests {
                 .unwrap();
         }
         let snap = c.snapshot();
-        let view = snap.snapshot_tables(&["Flights", "Ghost"], 1);
-        assert_eq!(view.ts(), 1);
-        assert!(view.contains("flights"));
-        let t = TableProvider::table(&view, "Flights").unwrap();
-        assert_eq!(t.len(), 1, "dirty insert invisible to the snapshot");
+        let all = SpjQuery::new(
+            vec!["Flights".into()],
+            Expr::Const(Value::Bool(true)),
+            vec![Expr::col(0, 0)],
+        );
+        let working = snap.read_view(&["Flights", "Ghost"]);
+        assert_eq!(working.as_of(), None);
+        assert_eq!(eval_spj(&working, &all).unwrap().rows.len(), 2);
+        let view = working.at(Some(1));
+        assert_eq!(view.as_of(), Some(1));
+        assert_eq!(
+            eval_spj(&view, &all).unwrap().rows,
+            vec![vec![Value::Int(122)]],
+            "dirty insert invisible to the snapshot"
+        );
         assert!(matches!(
             TableProvider::table(&view, "Ghost"),
             Err(StorageError::NoSuchTable(_))
         ));
-        // absorb() unions without clobbering.
-        let mut view = view;
-        c.create_table("Later", Schema::of(&[("x", ValueType::Int)]))
-            .unwrap();
-        view.absorb(c.snapshot().snapshot_tables(&["Later"], 1));
-        assert!(view.contains("later"));
-        assert!(view.contains("flights"));
+        // Before the seal there was nothing committed to see.
+        assert!(eval_spj(&view.at(Some(0)), &all).unwrap().rows.is_empty());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Named secondary indexes: per-table [`IndexSet`]s of [`Index`]es over one
 //! or more columns, each hash- or btree-backed.
 //!
-//! These are the *declared* indexes `CREATE INDEX` builds — distinct from
-//! the anonymous multi-column hash indexes [`crate::Table::create_index`]
-//! keeps for join pushdown. A named index maps a key — the indexed column's
+//! These are the indexes `CREATE INDEX` declares — the only index
+//! implementation there is. A named index maps a key — the indexed column's
 //! value, or a [`Value::Tuple`] of the column values for a composite index —
 //! to the [`RowId`]s of rows holding it. Postings are *supersets* of the
 //! live heap: the table adds a posting inside the same mutation that touches
@@ -23,12 +22,11 @@
 
 use crate::table::{Row, RowId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 
 /// The backing structure of a named index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     /// Hash map: equality probes only.
     Hash,
@@ -52,14 +50,14 @@ impl IndexKind {
 pub type RangeEntries = (Vec<(Value, Vec<RowId>)>, Option<Value>);
 
 /// Key → row-id postings, in the shape the kind dictates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum IndexData {
     Hash(HashMap<Value, Vec<RowId>>),
     Btree(BTreeMap<Value, Vec<RowId>>),
 }
 
 /// One named secondary index over one or more columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Index {
     name: String,
     columns: Vec<usize>,
@@ -200,16 +198,19 @@ impl Index {
     /// Row ids whose index key matches `prefix` on the leading columns and
     /// whose next component falls within the bounds, in key order. `None`
     /// for hash indexes, which cannot serve ranges. Like [`Index::probe`],
-    /// the result may include stale postings the caller must re-check.
+    /// the result may include stale postings the caller must re-check —
+    /// but each id appears once, under the first in-range key it is posted
+    /// at: a row re-keyed within the range stays posted under its old key
+    /// too until vacuum, and must not become two candidates.
     pub fn probe_range(
         &self,
         prefix: &[Value],
         lo: Bound<&Value>,
         hi: Bound<&Value>,
     ) -> Option<Vec<RowId>> {
-        let mut out = Vec::new();
+        let (mut out, mut seen) = (Vec::new(), HashSet::new());
         self.visit_range(prefix, lo, hi, |_, ids| {
-            out.extend_from_slice(ids);
+            out.extend(ids.iter().filter(|id| seen.insert(**id)));
             true
         })?;
         Some(out)
@@ -338,7 +339,7 @@ impl Index {
 }
 
 /// All named indexes of one table, maintained as a unit.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IndexSet {
     indexes: Vec<Index>,
 }
@@ -374,16 +375,23 @@ impl IndexSet {
             .find(|ix| ix.name.eq_ignore_ascii_case(name))
     }
 
-    /// The first single-column index over `column`, preferring a hash
-    /// index for the equality probes the executor issues most.
-    pub fn on_column(&self, column: usize) -> Option<&Index> {
+    /// The first index over exactly `n` columns, every one of which is
+    /// `bound` — an equality probe's pairs cover its key exactly —
+    /// preferring a hash index for the equality probes joins and the
+    /// executor issue most.
+    pub fn covering(&self, n: usize, bound: impl Fn(usize) -> bool) -> Option<&Index> {
         self.indexes
             .iter()
-            .filter(|ix| ix.columns.as_slice() == [column])
+            .filter(|ix| ix.columns.len() == n && ix.columns.iter().all(|c| bound(*c)))
             .min_by_key(|ix| match ix.kind {
                 IndexKind::Hash => 0,
                 IndexKind::Btree => 1,
             })
+    }
+
+    /// The first single-column index over `column` (hash preferred).
+    pub fn on_column(&self, column: usize) -> Option<&Index> {
+        self.covering(1, |c| c == column)
     }
 
     /// A single-column btree index over `column`, for range probes.
@@ -391,24 +399,6 @@ impl IndexSet {
         self.indexes
             .iter()
             .find(|ix| ix.columns.as_slice() == [column] && ix.kind == IndexKind::Btree)
-    }
-
-    /// A copy carrying the same definitions but no contents.
-    pub fn defs_only(&self) -> IndexSet {
-        IndexSet {
-            indexes: self
-                .indexes
-                .iter()
-                .map(|ix| {
-                    Index::new(
-                        ix.name.clone(),
-                        ix.columns.clone(),
-                        ix.column_names.clone(),
-                        ix.kind,
-                    )
-                })
-                .collect(),
-        }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &Index> + '_ {

@@ -6,7 +6,7 @@
 //! The paper's prototype is a middle tier over MySQL/InnoDB; this crate is
 //! the from-scratch replacement for the parts of that DBMS the middleware
 //! actually exercises: a catalog of in-memory heap tables with stable row
-//! ids, hash indexes, typed values (including the dates the travel scenario
+//! ids, named hash/btree indexes, typed values (including the dates the travel scenario
 //! manipulates), resolved scalar expressions, and a select-project-join
 //! evaluator used both for classical statements and for *grounding*
 //! entangled queries (Appendix A of the paper).
@@ -21,11 +21,13 @@
 //! — physical latches only; transaction isolation stays with the lock
 //! manager above.
 //!
-//! Since the multi-version work, tables carry a third face: per-row
-//! [`mvcc::VersionChain`]s of *committed* values keyed by commit
-//! timestamp, serving lock-free snapshot reads for read-only transactions
-//! ([`Table::snapshot_at`], [`CatalogSnapshot::snapshot_tables`]). Writers
-//! install versions only at commit; the [`mvcc::SnapshotRegistry`] tracks
+//! Tables also carry per-row [`mvcc::VersionChain`]s of *committed*
+//! values keyed by commit timestamp, serving lock-free snapshot reads for
+//! read-only transactions. A snapshot read is not a different storage
+//! face: it is the same [`TableView`] with a timestamp on it
+//! ([`TableView::at`], [`TableProvider::as_of`]), and evaluation resolves
+//! each row through [`Table::row_at`]. Writers install versions only at
+//! commit; the [`mvcc::SnapshotRegistry`] tracks
 //! the stable frontier readers pin and the horizon the garbage collector
 //! prunes behind. See the [`mvcc`] module docs for the visibility and GC
 //! rules.
@@ -54,7 +56,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{Database, StorageError, TableProvider};
-pub use concurrent::{CatalogSnapshot, ConcurrentCatalog, SnapshotTables, TableHandle, TableView};
+pub use concurrent::{CatalogSnapshot, ConcurrentCatalog, TableHandle, TableView};
 pub use expr::{CmpOp, EvalError, Expr};
 pub use index::{Index, IndexKind, IndexSet};
 pub use mvcc::{CommitTs, SnapshotRegistry, VersionChain};

@@ -52,17 +52,16 @@
 //! // …and *it* reads its own write through the working state:
 //! assert_eq!(t.get(id).unwrap()[0], Value::Int(42));
 //! // …but a snapshot pinned at ts 1 still sees the committed value:
-//! assert_eq!(t.snapshot_at(1).get(id).unwrap()[0], Value::Int(100));
+//! assert_eq!(t.visible_row(id, 1).unwrap()[0], Value::Int(100));
 //!
 //! // Only at commit does the new version become visible to later pins:
 //! t.install_version(id, 2, Some(vec![Value::Int(42)]));
-//! assert_eq!(t.snapshot_at(2).get(id).unwrap()[0], Value::Int(42));
-//! assert_eq!(t.snapshot_at(1).get(id).unwrap()[0], Value::Int(100));
+//! assert_eq!(t.visible_row(id, 2).unwrap()[0], Value::Int(42));
+//! assert_eq!(t.visible_row(id, 1).unwrap()[0], Value::Int(100));
 //! ```
 
 use crate::table::Row;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,7 +71,7 @@ pub type CommitTs = u64;
 
 /// One committed version of a row: its value as of `ts`, or a tombstone
 /// (`None`) if the row was deleted by the commit at `ts`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Version {
     pub ts: CommitTs,
     pub row: Option<Row>,
@@ -105,7 +104,7 @@ pub struct Version {
 /// assert_eq!(chain.prune(6), 1);
 /// assert_eq!(chain.visible(7).unwrap()[0], Value::Int(20));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VersionChain {
     versions: Vec<Version>,
 }
@@ -193,11 +192,6 @@ impl VersionChain {
     /// readers can probe for rows whose working state has moved on.
     pub fn version_rows(&self) -> impl Iterator<Item = &Row> + Clone + '_ {
         self.versions.iter().filter_map(|v| v.row.as_ref())
-    }
-
-    /// The largest timestamp of any retained version (0 if none).
-    pub fn max_ts(&self) -> CommitTs {
-        self.versions.iter().map(|v| v.ts).max().unwrap_or(0)
     }
 
     /// Number of versions currently retained.

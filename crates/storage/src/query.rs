@@ -8,6 +8,7 @@
 
 use crate::catalog::{StorageError, TableProvider};
 use crate::expr::{CmpOp, Expr};
+use crate::mvcc::CommitTs;
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use std::ops::Bound;
@@ -60,11 +61,6 @@ pub struct QueryOutput {
 pub struct ScanStats {
     pub rows_scanned: u64,
     pub index_lookups: u64,
-    /// Snapshot point/range reads that probed the *live* history-union
-    /// index and filtered by version visibility instead of materializing a
-    /// per-snapshot index copy — each one is a rebuild that no longer
-    /// happens anywhere.
-    pub index_rebuilds_avoided: u64,
 }
 
 impl ScanStats {
@@ -72,12 +68,12 @@ impl ScanStats {
     pub fn add(&mut self, other: ScanStats) {
         self.rows_scanned += other.rows_scanned;
         self.index_lookups += other.index_lookups;
-        self.index_rebuilds_avoided += other.index_rebuilds_avoided;
     }
 }
 
 /// Evaluate an SPJ query against any table source (an owned [`Database`]
-/// or a pinned [`crate::concurrent::TableView`]).
+/// or a pinned [`crate::concurrent::TableView`]), reading every row at the
+/// source's visibility ([`TableProvider::as_of`]).
 ///
 /// [`Database`]: crate::catalog::Database
 pub fn eval_spj(db: &dyn TableProvider, q: &SpjQuery) -> Result<QueryOutput, StorageError> {
@@ -172,12 +168,14 @@ fn lookup_pairs(stage: usize, conjs: &[&Expr], env: &[&[Value]]) -> Vec<(usize, 
 /// Serve stage `k`'s candidates from a named btree index when a range
 /// conjunct (`<`, `<=`, `>`, `>=`) constrains an indexed column with a
 /// bound computable from earlier stages. One-sided; residual conjuncts are
-/// re-checked on every candidate, so over-approximation is safe.
+/// re-checked on every candidate (resolved at `at`), so over-approximation
+/// and stale history-union postings are both safe.
 fn range_probe<'t>(
     table: &'t Table,
     stage: usize,
     conjs: &[&Expr],
     env: &[&[Value]],
+    at: Option<CommitTs>,
 ) -> Option<Vec<(RowId, &'t Row)>> {
     for c in conjs {
         let Expr::Cmp { op, lhs, rhs } = c else {
@@ -207,7 +205,7 @@ fn range_probe<'t>(
         let ids = ix.probe_range(&[], lo, hi)?;
         return Some(
             ids.into_iter()
-                .filter_map(|id| table.get(id).map(|r| (id, r)))
+                .filter_map(|id| table.row_at(id, at).map(|r| (id, r)))
                 .collect(),
         );
     }
@@ -216,19 +214,28 @@ fn range_probe<'t>(
 
 /// Evaluate a **single-table** query over a pre-filtered candidate set —
 /// the tail of an index-served plan, locked or snapshot: candidates came
-/// from a probe (and, on the snapshot path, a per-row visibility check),
-/// and this applies the full predicate (which also screens out stale
-/// history-union postings), projection, DISTINCT and LIMIT.
-pub fn eval_spj_rows(
+/// from a probe and were resolved at the reader's visibility
+/// ([`Table::row_at`]), and this applies the full predicate (which also
+/// screens out stale history-union postings), projection, DISTINCT and
+/// LIMIT. Candidates are borrowed: only rows that make it into the output
+/// are copied.
+pub fn eval_spj_rows<'r>(
     q: &SpjQuery,
-    candidates: &[(RowId, Row)],
+    candidates: impl IntoIterator<Item = (RowId, &'r Row)>,
 ) -> Result<QueryOutput, StorageError> {
     debug_assert_eq!(q.tables.len(), 1, "candidate evaluation is single-table");
     let conjuncts: Vec<&Expr> = q.predicate.conjuncts();
+    // The same cheap equality pre-filter a scanned join stage applies:
+    // most candidates of a multi-conjunct point read fall to it before
+    // the expression evaluator (which copies values) runs.
+    let pairs = lookup_pairs(0, &conjuncts, &[]);
     let mut out = QueryOutput::default();
     let mut seen = std::collections::HashSet::new();
     'rows: for (id, row) in candidates {
-        let env: Vec<&[Value]> = vec![row.as_slice()];
+        if !pairs.iter().all(|(c, v)| &row[*c] == v) {
+            continue;
+        }
+        let env = [row.as_slice()];
         for c in &conjuncts {
             if !c.eval_bool(&env).map_err(eval_err)? {
                 continue 'rows;
@@ -242,7 +249,7 @@ pub fn eval_spj_rows(
         if q.distinct && !seen.insert(projected.clone()) {
             continue;
         }
-        out.provenance.push(vec![*id]);
+        out.provenance.push(vec![id]);
         out.rows.push(projected);
         if let Some(lim) = q.limit {
             if out.rows.len() >= lim {
@@ -285,22 +292,24 @@ fn join_rec(
         return Ok(());
     }
 
-    // Candidate rows: indexed lookup when equality pairs exist, else scan.
-    // Collected into owned form so the borrow of `env_rows` ends before the
-    // recursion mutates it.
+    // Candidate rows: indexed lookup when equality pairs exist, else scan
+    // — either way read at the provider's visibility. Collected into owned
+    // form so the borrow of `env_rows` ends before the recursion mutates it.
     let candidates: Vec<(RowId, Row)> = {
         let table = db.table(&q.tables[stage])?;
+        let at = db.as_of();
         let env: Vec<&[Value]> = env_rows.iter().map(|(_, r)| r.as_slice()).collect();
         let pairs_owned = lookup_pairs(stage, &stage_conjuncts[stage], &env);
         let pairs: Vec<(usize, &Value)> = pairs_owned.iter().map(|(c, v)| (*c, v)).collect();
-        // Access path, best first: equality probe (anonymous or named
-        // index), btree range probe, full scan.
+        // Access path, best first: equality probe of a named index the
+        // pairs cover, btree range probe, full scan.
         let probed: Option<Vec<(RowId, &Row)>> = if pairs.is_empty() {
             None
         } else {
-            table.lookup_indexed(&pairs)
+            table.lookup_indexed(&pairs, at)
         };
-        let probed = probed.or_else(|| range_probe(table, stage, &stage_conjuncts[stage], &env));
+        let probed =
+            probed.or_else(|| range_probe(table, stage, &stage_conjuncts[stage], &env, at));
         let hits: Vec<(RowId, &Row)> = match probed {
             Some(hits) => {
                 stats.index_lookups += 1;
@@ -308,13 +317,19 @@ fn join_rec(
                 hits
             }
             None => {
-                // Every live row is examined, whether or not it survives
-                // the equality filter.
-                stats.rows_scanned += table.len() as u64;
-                table
-                    .scan()
-                    .filter(|(_, row)| pairs.iter().all(|(c, v)| &row[*c] == *v))
-                    .collect()
+                // Every row the reader sees is examined, whether or not
+                // it survives the equality filter.
+                let keep = |(_, row): &(RowId, &Row)| pairs.iter().all(|(c, v)| &row[*c] == *v);
+                let (hits, examined) = match at {
+                    None => (table.scan().filter(keep).collect(), table.len() as u64),
+                    Some(ts) => {
+                        let mut visible = 0;
+                        let rows = table.snapshot_scan(ts).inspect(|_| visible += 1);
+                        (rows.filter(keep).collect(), visible)
+                    }
+                };
+                stats.rows_scanned += examined;
+                hits
             }
         };
         hits.into_iter().map(|(id, r)| (id, r.clone())).collect()
@@ -443,7 +458,7 @@ mod tests {
         let mut db = fig1_db();
         db.table_mut("Airlines")
             .unwrap()
-            .create_index(&["fno"])
+            .create_named_index("airlines_af", &["airline", "fno"], crate::IndexKind::Hash)
             .unwrap();
         let q = SpjQuery::new(
             vec!["Flights".into(), "Airlines".into()],
@@ -453,9 +468,15 @@ mod tests {
             ]),
             vec![Expr::col(0, 0)],
         );
-        let out = eval_spj(&db, &q).unwrap();
+        let mut stats = ScanStats::default();
+        let out = eval_spj_counted(&db, &q, &mut stats).unwrap();
         let fnos: Vec<i64> = out.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(fnos, vec![122, 123]);
+        // The outer table is scanned (4 rows); the inner stage's two
+        // equality pairs cover the composite index exactly, so it is probed
+        // once per outer row and only the two United flights come back.
+        assert_eq!(stats.index_lookups, 4);
+        assert_eq!(stats.rows_scanned, 4 + 2);
     }
 
     #[test]

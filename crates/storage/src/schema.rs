@@ -1,11 +1,10 @@
 //! Table schemas and the error type shared across the storage crate.
 
 use crate::value::{Value, ValueType};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A column declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     pub name: String,
     pub ty: ValueType,
@@ -22,7 +21,7 @@ impl Column {
 
 /// An ordered list of columns. Column names are case-insensitive, matching
 /// the paper's SQL examples which mix cases freely.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<Column>,
 }

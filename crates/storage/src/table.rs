@@ -1,5 +1,5 @@
 //! Heap tables: slot-addressed in-memory row storage with stable [`RowId`]s,
-//! plus optional hash indexes maintained on mutation.
+//! plus named secondary indexes maintained on mutation.
 //!
 //! `RowId`s are never reused within a table's lifetime, so WAL records and
 //! lock-manager resources can refer to them stably across
@@ -10,12 +10,10 @@ use crate::index::{IndexKind, IndexSet};
 use crate::mvcc::{CommitTs, VersionChain};
 use crate::schema::{Schema, SchemaError};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Stable identifier of a row within one table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u64);
 
 impl fmt::Display for RowId {
@@ -27,33 +25,6 @@ impl fmt::Display for RowId {
 /// A stored row.
 pub type Row = Vec<Value>;
 
-/// A secondary hash index over a fixed set of columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct HashIndex {
-    cols: Vec<usize>,
-    map: HashMap<Vec<Value>, Vec<RowId>>,
-}
-
-impl HashIndex {
-    fn key(&self, row: &[Value]) -> Vec<Value> {
-        self.cols.iter().map(|&c| row[c].clone()).collect()
-    }
-
-    fn insert(&mut self, id: RowId, row: &[Value]) {
-        self.map.entry(self.key(row)).or_default().push(id);
-    }
-
-    fn remove(&mut self, id: RowId, row: &[Value]) {
-        let key = self.key(row);
-        if let Some(v) = self.map.get_mut(&key) {
-            v.retain(|r| *r != id);
-            if v.is_empty() {
-                self.map.remove(&key);
-            }
-        }
-    }
-}
-
 /// An in-memory heap table.
 ///
 /// Two read paths share the slot array's `RowId` space:
@@ -64,15 +35,19 @@ impl HashIndex {
 /// * the **committed history** (`chains`, parallel to `slots`) — per-row
 ///   [`VersionChain`]s that only ever receive values at commit time
 ///   ([`Table::install_version`]) and serve lock-free snapshot reads
-///   ([`Table::snapshot_at`], [`Table::snapshot_scan`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///   ([`Table::visible_row`]).
+///
+/// A reader picks one with the `at` argument of [`Table::row_at`] (and
+/// [`Table::scan`] vs [`Table::snapshot_scan`] for whole-table walks):
+/// `None` is the working state, `Some(ts)` the history as of commit
+/// timestamp `ts`.
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     /// Slot array; `None` marks a deleted row (tombstone). Index = RowId.
     slots: Vec<Option<Row>>,
     live: usize,
-    indexes: Vec<HashIndex>,
     /// Named secondary indexes (`CREATE INDEX`), maintained as a
     /// *history-union superset* of the heap: every mutating method below
     /// posts new keys inside the same critical section that touches
@@ -98,12 +73,6 @@ pub struct Table {
     /// one live value, which no future horizon can reclaim, so
     /// [`Table::prune_versions`] never needs to look at it.
     prune_list: Vec<RowId>,
-    /// Bumped on every committed-history mutation (install / seal /
-    /// prune / truncate). Two calls to [`Table::snapshot_at`] with the
-    /// same epoch and non-decreasing timestamps see identical data, which
-    /// is what lets the engine memoize materializations of read-mostly
-    /// tables instead of copying them per transaction.
-    version_epoch: u64,
 }
 
 impl Table {
@@ -113,12 +82,10 @@ impl Table {
             schema,
             slots: Vec::new(),
             live: 0,
-            indexes: Vec::new(),
             named: IndexSet::default(),
             stale_postings: Vec::new(),
             chains: Vec::new(),
             prune_list: Vec::new(),
-            version_epoch: 0,
         }
     }
 
@@ -137,33 +104,6 @@ impl Table {
 
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Create a hash index on the named columns. Idempotent for identical
-    /// column sets. Returns the index's internal id.
-    pub fn create_index(&mut self, columns: &[&str]) -> Result<usize, SchemaError> {
-        let cols: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                self.schema
-                    .index_of(c)
-                    .ok_or_else(|| SchemaError::DuplicateColumn(format!("unknown column {c}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if let Some(pos) = self.indexes.iter().position(|ix| ix.cols == cols) {
-            return Ok(pos);
-        }
-        let mut ix = HashIndex {
-            cols,
-            map: HashMap::new(),
-        };
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(row) = slot {
-                ix.insert(RowId(i as u64), row);
-            }
-        }
-        self.indexes.push(ix);
-        Ok(self.indexes.len() - 1)
     }
 
     /// Declare a named secondary index over one or more columns and
@@ -262,9 +202,6 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<RowId, SchemaError> {
         self.schema.check_row(&row)?;
         let id = RowId(self.slots.len() as u64);
-        for ix in &mut self.indexes {
-            ix.insert(id, &row);
-        }
         self.named.insert_row(id, &row);
         self.slots.push(Some(row));
         self.live += 1;
@@ -279,21 +216,12 @@ impl Table {
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, None);
         }
-        if self.slots[idx].is_none() {
-            self.live += 1;
-        } else if let Some(old) = &self.slots[idx] {
-            let old = old.clone();
-            for ix in &mut self.indexes {
-                ix.remove(id, &old);
-            }
-            // Named postings for the old contents linger (vacuum's job).
-            self.note_stale(id, &old);
-        }
-        for ix in &mut self.indexes {
-            ix.insert(id, &row);
-        }
         self.named.insert_row(id, &row);
-        self.slots[idx] = Some(row);
+        match self.slots[idx].replace(row) {
+            None => self.live += 1,
+            // Named postings for the old contents linger (vacuum's job).
+            Some(old) => self.note_stale(id, &old),
+        }
         Ok(())
     }
 
@@ -307,9 +235,6 @@ impl Table {
     pub fn delete(&mut self, id: RowId) -> Option<Row> {
         let slot = self.slots.get_mut(id.0 as usize)?;
         let old = slot.take()?;
-        for ix in &mut self.indexes {
-            ix.remove(id, &old);
-        }
         // The named posting stays: a snapshot reader pinned before this
         // delete commits must still find the row by probing. Vacuum
         // reclaims it once no retained version needs it.
@@ -321,22 +246,13 @@ impl Table {
     /// Overwrite a row in place, returning the before-image.
     pub fn update(&mut self, id: RowId, new: Row) -> Result<Option<Row>, SchemaError> {
         self.schema.check_row(&new)?;
-        let Some(slot) = self.slots.get_mut(id.0 as usize) else {
+        let Some(Some(row)) = self.slots.get_mut(id.0 as usize) else {
             return Ok(None);
         };
-        let Some(old) = slot.replace(new) else {
-            *slot = None;
-            return Ok(None);
-        };
-        let new_ref = slot.as_ref().expect("just replaced");
-        let new_clone = new_ref.clone();
-        for ix in &mut self.indexes {
-            ix.remove(id, &old);
-            ix.insert(id, &new_clone);
-        }
+        let old = std::mem::replace(row, new);
         // Post the new key; the old key's posting stays for snapshot
         // readers until vacuum reclaims it.
-        if self.named.post_update(id, &old, &new_clone) {
+        if self.named.post_update(id, &old, row) {
             self.note_stale(id, &old);
         }
         Ok(Some(old))
@@ -350,11 +266,21 @@ impl Table {
             .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u64), r)))
     }
 
-    /// Look up rows by an exact match on an indexed column set; falls back to
-    /// a scan when no index covers the columns. `pairs` maps column index →
-    /// required value.
+    /// The one row accessor every read path resolves candidates through:
+    /// the working row ([`Table::get`]) when `at` is `None`, the committed
+    /// value visible at `ts` ([`Table::visible_row`]) when it is `Some(ts)`.
+    pub fn row_at(&self, id: RowId, at: Option<CommitTs>) -> Option<&Row> {
+        match at {
+            None => self.get(id),
+            Some(ts) => self.visible_row(id, ts),
+        }
+    }
+
+    /// Look up working rows by an exact match on a column set; falls back
+    /// to a scan when no index covers the columns. `pairs` maps column
+    /// index → required value.
     pub fn lookup(&self, pairs: &[(usize, &Value)]) -> Vec<(RowId, &Row)> {
-        if let Some(hits) = self.lookup_indexed(pairs) {
+        if let Some(hits) = self.lookup_indexed(pairs, None) {
             return hits;
         }
         self.scan()
@@ -362,61 +288,44 @@ impl Table {
             .collect()
     }
 
-    /// The index-served half of [`Table::lookup`]: `None` when no anonymous
-    /// or named index covers `pairs` (callers that need to know whether a
-    /// probe or a scan happened — scan accounting — use this directly).
-    pub fn lookup_indexed(&self, pairs: &[(usize, &Value)]) -> Option<Vec<(RowId, &Row)>> {
-        // Try to find an index whose column set is exactly covered.
-        for ix in &self.indexes {
-            if ix.cols.len() == pairs.len()
-                && ix.cols.iter().all(|c| pairs.iter().any(|(pc, _)| pc == c))
-            {
-                let mut key = vec![Value::Null; ix.cols.len()];
-                for (pos, col) in ix.cols.iter().enumerate() {
-                    let (_, v) = pairs.iter().find(|(pc, _)| pc == col).expect("covered");
-                    key[pos] = (*v).clone();
-                }
-                return Some(
-                    ix.map
-                        .get(&key)
-                        .map(|ids| {
-                            ids.iter()
-                                .filter_map(|id| self.get(*id).map(|r| (*id, r)))
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                );
+    /// The index-served half of [`Table::lookup`], for a reader at `at`:
+    /// `None` when no named index's column set is covered exactly by
+    /// `pairs` (callers that need to know whether a probe or a scan
+    /// happened — scan accounting — use this directly). The probe key is
+    /// built as [`crate::Index::key_of`] builds it; every posting is
+    /// resolved through [`Table::row_at`] and its key re-checked, because
+    /// postings are a history-union superset (a re-keyed row's old posting
+    /// lingers until vacuum, and serves readers pinned before the re-key).
+    pub fn lookup_indexed(
+        &self,
+        pairs: &[(usize, &Value)],
+        at: Option<CommitTs>,
+    ) -> Option<Vec<(RowId, &Row)>> {
+        let bound = |c: usize| pairs.iter().find(|(pc, _)| *pc == c).map(|(_, v)| *v);
+        let ix = self.named.covering(pairs.len(), |c| bound(c).is_some())?;
+        let ids = match ix.columns() {
+            [c] => ix.probe(bound(*c)?),
+            cols => {
+                let parts: Option<Vec<Value>> = cols.iter().map(|c| bound(*c).cloned()).collect();
+                ix.probe(&Value::Tuple(parts?))
             }
-        }
-        // Single-column probes can also ride a named (`CREATE INDEX`)
-        // index; candidates are liveness-checked like any posting, and the
-        // key is re-checked because postings are a history-union superset
-        // (a re-keyed row's old posting lingers until vacuum).
-        if let [(col, v)] = pairs {
-            if let Some(ix) = self.named.on_column(*col) {
-                return Some(
-                    ix.probe(v)
-                        .iter()
-                        .filter_map(|id| self.get(*id).filter(|r| &r[*col] == *v).map(|r| (*id, r)))
-                        .collect(),
-                );
-            }
-        }
-        None
+        };
+        Some(
+            ids.iter()
+                .filter_map(|id| self.row_at(*id, at).map(|r| (*id, r)))
+                .filter(|(_, r)| pairs.iter().all(|(c, v)| &r[*c] == *v))
+                .collect(),
+        )
     }
 
     /// Remove every row (used by tests and recovery reset).
     pub fn truncate(&mut self) {
         self.slots.clear();
         self.live = 0;
-        for ix in &mut self.indexes {
-            ix.map.clear();
-        }
         self.named.clear();
         self.stale_postings.clear();
         self.chains.clear();
         self.prune_list.clear();
-        self.version_epoch += 1;
     }
 
     /// Snapshot all live rows (id, row) — used to build read-only copies.
@@ -450,10 +359,10 @@ impl Table {
         if let Some(old) = displaced {
             self.note_stale(id, &old);
         }
-        self.version_epoch += 1;
     }
 
-    /// Iterate the rows visible to a snapshot pinned at `ts`, in id order.
+    /// Iterate the rows visible to a snapshot pinned at `ts`, in id order
+    /// — [`Table::scan`]'s counterpart for a reader as of a timestamp.
     pub fn snapshot_scan(&self, ts: CommitTs) -> impl Iterator<Item = (RowId, &Row)> + '_ {
         self.chains
             .iter()
@@ -461,31 +370,10 @@ impl Table {
             .filter_map(move |(i, c)| c.visible(ts).map(|r| (RowId(i as u64), r)))
     }
 
-    /// Materialize an owned copy of this table as visible at snapshot `ts`
-    /// (same schema, same `RowId`s). This is what the snapshot read path
-    /// evaluates multi-table SELECTs against: an immutable table nobody
-    /// latches or locks. The copy carries **no** index contents — neither
-    /// named nor anonymous — because snapshot point/range probes go to the
-    /// *live* table's history-union indexes ([`Table::visible_row`] applies
-    /// visibility per candidate), so per-snapshot index rebuilds no longer
-    /// exist; scans over the copy serve everything else.
-    pub fn snapshot_at(&self, ts: CommitTs) -> Table {
-        let mut t = Table::new(self.name.clone(), self.schema.clone());
-        for (id, row) in self.snapshot_scan(ts) {
-            let idx = id.0 as usize;
-            if idx >= t.slots.len() {
-                t.slots.resize(idx + 1, None);
-            }
-            t.slots[idx] = Some(row.clone());
-            t.live += 1;
-        }
-        t
-    }
-
     /// The committed value of row `id` visible to a snapshot pinned at
-    /// `ts` — the per-candidate visibility filter behind index-aware
-    /// snapshot reads: probe the live history-union index, then resolve
-    /// each posting through the row's version chain.
+    /// `ts` — the per-candidate visibility filter behind every snapshot
+    /// read: probe the live history-union index (or walk the slots), then
+    /// resolve each candidate through the row's version chain.
     pub fn visible_row(&self, id: RowId, ts: CommitTs) -> Option<&Row> {
         self.chains.get(id.0 as usize).and_then(|c| c.visible(ts))
     }
@@ -511,7 +399,6 @@ impl Table {
         if had_history || !self.stale_postings.is_empty() {
             self.rebuild_named_indexes();
         }
-        self.version_epoch += 1;
     }
 
     /// Prune versions unreachable from any snapshot at or after `horizon`
@@ -533,29 +420,12 @@ impl Table {
             });
             chain.reclaimable()
         });
-        if pruned > 0 {
-            self.version_epoch += 1;
-        }
         pruned
     }
 
     /// Total retained versions across all chains (diagnostics/tests).
     pub fn version_count(&self) -> usize {
         self.chains.iter().map(|c| c.len()).sum()
-    }
-
-    /// The committed-history epoch (see the field docs): unchanged epoch +
-    /// non-decreasing snapshot timestamps ⇒ identical visible data.
-    pub fn version_epoch(&self) -> u64 {
-        self.version_epoch
-    }
-
-    /// The largest commit timestamp of any retained version (0 if none).
-    /// A materialization built at pin `ts` with `max_version_ts() <= ts`
-    /// is *clean*: no not-yet-visible version was already in the chains,
-    /// so (at the same epoch) the copy also serves later pins.
-    pub fn max_version_ts(&self) -> CommitTs {
-        self.chains.iter().map(|c| c.max_ts()).max().unwrap_or(0)
     }
 }
 
@@ -655,9 +525,15 @@ mod tests {
     #[test]
     fn index_lookup_matches_scan() {
         let mut t = flights_table();
-        t.create_index(&["dest"]).unwrap();
-        let la = t.lookup(&[(2, &Value::str("LA"))]);
-        assert_eq!(la.len(), 3);
+        let pairs = [(2, &Value::str("LA"))];
+        let scanned: Vec<RowId> = t.lookup(&pairs).iter().map(|(id, _)| *id).collect();
+        assert!(t.lookup_indexed(&pairs, None).is_none(), "no index yet");
+        t.create_named_index("by_dest", &["dest"], IndexKind::Hash)
+            .unwrap();
+        let probed = t.lookup_indexed(&pairs, None).expect("index covers dest");
+        let probed: Vec<RowId> = probed.iter().map(|(id, _)| *id).collect();
+        assert_eq!(probed, scanned);
+        assert_eq!(probed.len(), 3);
         let paris = t.lookup(&[(2, &Value::str("Paris"))]);
         assert_eq!(paris.len(), 1);
         assert_eq!(paris[0].1[0], Value::Int(235));
@@ -668,7 +544,9 @@ mod tests {
     #[test]
     fn index_maintained_on_mutation() {
         let mut t = flights_table();
-        t.create_index(&["dest"]).unwrap();
+        t.create_named_index("by_dest", &["dest"], IndexKind::Btree)
+            .unwrap();
+        t.seal_versions(1);
         t.delete(RowId(0)).unwrap();
         assert_eq!(t.lookup(&[(2, &Value::str("LA"))]).len(), 2);
         t.update(
@@ -684,15 +562,26 @@ mod tests {
         let la = t.lookup(&[(2, &Value::str("LA"))]);
         assert!(la.iter().any(|(rid, _)| *rid == id));
         assert_eq!(la.len(), 2);
+        // None of it is committed: a reader as of ts 1 probes the same
+        // index and still finds the three sealed LA rows, not the new one.
+        let la = [(2, &Value::str("LA"))];
+        let ids = |hits: Vec<(RowId, &Row)>| hits.iter().map(|(id, _)| id.0).collect::<Vec<_>>();
+        assert_eq!(ids(t.lookup_indexed(&la, Some(1)).unwrap()), vec![0, 1, 2]);
+        let paris = [(2, &Value::str("Paris"))];
+        assert_eq!(ids(t.lookup_indexed(&paris, Some(1)).unwrap()), vec![3]);
     }
 
     #[test]
     fn multi_column_index() {
         let mut t = flights_table();
-        t.create_index(&["fdate", "dest"]).unwrap();
-        let hits = t.lookup(&[(1, &Value::Date(100)), (2, &Value::str("LA"))]);
-        assert_eq!(hits.len(), 2);
-        // Unindexed combination falls back to scan and still works.
+        t.create_named_index("by_dest_date", &["dest", "fdate"], IndexKind::Hash)
+            .unwrap();
+        // Pairs in any order: the key is built in declaration order.
+        let pairs = [(1, &Value::Date(100)), (2, &Value::str("LA"))];
+        assert_eq!(t.lookup_indexed(&pairs, None).unwrap().len(), 2);
+        // A pair set the index does not cover exactly is not index-served…
+        assert!(t.lookup_indexed(&pairs[..1], None).is_none());
+        // …and falls back to scan and still works.
         let hits = t.lookup(&[(0, &Value::Int(122))]);
         assert_eq!(hits.len(), 1);
     }
@@ -700,10 +589,15 @@ mod tests {
     #[test]
     fn create_index_idempotent_and_unknown_column() {
         let mut t = flights_table();
-        let a = t.create_index(&["dest"]).unwrap();
-        let b = t.create_index(&["dest"]).unwrap();
-        assert_eq!(a, b);
-        assert!(t.create_index(&["nope"]).is_err());
+        assert!(t
+            .create_named_index("by_dest", &["dest"], IndexKind::Hash)
+            .unwrap());
+        assert!(!t
+            .create_named_index("by_dest", &["dest"], IndexKind::Hash)
+            .unwrap());
+        assert!(t
+            .create_named_index("by_nope", &["nope"], IndexKind::Hash)
+            .is_err());
     }
 
     #[test]
@@ -734,10 +628,10 @@ mod tests {
         )
         .unwrap();
         t.delete(RowId(3)).unwrap();
-        let snap1 = t.snapshot_at(1);
-        assert_eq!(snap1.len(), 4);
-        assert_eq!(snap1.get(RowId(0)).unwrap()[2], Value::str("LA"));
-        assert_eq!(snap1.get(RowId(3)).unwrap()[2], Value::str("Paris"));
+        assert_eq!(t.snapshot_scan(1).count(), 4);
+        assert_eq!(t.row_at(RowId(0), Some(1)).unwrap()[2], Value::str("LA"));
+        assert_eq!(t.row_at(RowId(3), Some(1)).unwrap()[2], Value::str("Paris"));
+        assert_eq!(t.scan().count(), 3, "working state moved on");
         // Commit installs the update + a tombstone at ts 2.
         t.install_version(
             RowId(0),
@@ -745,18 +639,12 @@ mod tests {
             Some(vec![Value::Int(122), Value::Date(100), Value::str("SFO")]),
         );
         t.install_version(RowId(3), 2, None);
-        let snap2 = t.snapshot_at(2);
-        assert_eq!(snap2.len(), 3);
-        assert_eq!(snap2.get(RowId(0)).unwrap()[2], Value::str("SFO"));
-        assert!(snap2.get(RowId(3)).is_none());
+        assert_eq!(t.snapshot_scan(2).count(), 3);
+        assert_eq!(t.row_at(RowId(0), Some(2)).unwrap()[2], Value::str("SFO"));
+        assert!(t.row_at(RowId(3), Some(2)).is_none());
         // The older snapshot is unchanged (that is the point).
-        let snap1 = t.snapshot_at(1);
-        assert_eq!(snap1.get(RowId(0)).unwrap()[2], Value::str("LA"));
-        assert_eq!(
-            t.snapshot_scan(2).count(),
-            3,
-            "scan agrees with materialization"
-        );
+        assert_eq!(t.row_at(RowId(0), Some(1)).unwrap()[2], Value::str("LA"));
+        assert_eq!(t.snapshot_scan(1).count(), 4);
     }
 
     #[test]
@@ -777,10 +665,10 @@ mod tests {
         // A snapshot at ts 2 is still live: only the ts-1 version of row 0
         // is superseded below the horizon.
         assert_eq!(t.prune_versions(2), 1);
-        assert_eq!(t.snapshot_at(2).get(RowId(0)).unwrap()[2], Value::str("A"));
+        assert_eq!(t.visible_row(RowId(0), 2).unwrap()[2], Value::str("A"));
         // Horizon catches up: ts-2 goes too.
         assert_eq!(t.prune_versions(3), 1);
-        assert_eq!(t.snapshot_at(3).get(RowId(0)).unwrap()[2], Value::str("B"));
+        assert_eq!(t.visible_row(RowId(0), 3).unwrap()[2], Value::str("B"));
     }
 
     #[test]
@@ -801,9 +689,7 @@ mod tests {
         // must stay, and the chain stays listed for a later vacuum.
         assert_eq!(t.prune_versions(3), 1);
         assert_eq!(t.prune_list, vec![RowId(0)]);
-        let epoch = t.version_epoch();
         assert_eq!(t.prune_versions(3), 0);
-        assert_eq!(t.version_epoch(), epoch, "nothing pruned, same epoch");
         assert_eq!(t.prune_versions(4), 1);
         assert!(t.prune_list.is_empty(), "down to one live version");
         // Insert + delete inside one commit leaves a lone tombstone; it is
@@ -874,14 +760,15 @@ mod tests {
     #[test]
     fn snapshot_of_unsealed_table_is_empty() {
         let t = flights_table();
-        assert_eq!(t.snapshot_at(u64::MAX).len(), 0);
+        assert_eq!(t.snapshot_scan(u64::MAX).count(), 0);
         assert_eq!(t.version_count(), 0);
     }
 
     #[test]
     fn truncate_resets() {
         let mut t = flights_table();
-        t.create_index(&["dest"]).unwrap();
+        t.create_named_index("by_dest", &["dest"], IndexKind::Hash)
+            .unwrap();
         t.truncate();
         assert_eq!(t.len(), 0);
         assert!(t.lookup(&[(2, &Value::str("LA"))]).is_empty());

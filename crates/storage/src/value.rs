@@ -6,11 +6,10 @@
 //! they can serve as join keys, index keys and unification constants in the
 //! entangled-query engine.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single column value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// SQL NULL. Sorts before everything else; equal only to itself here
     /// (we use identity semantics, not three-valued logic, because the
@@ -170,7 +169,7 @@ impl From<bool> for Value {
 }
 
 /// Type tags for schema declarations and checking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     Null,
     Bool,

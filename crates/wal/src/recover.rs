@@ -465,8 +465,10 @@ pub fn recover_with(
 /// The result of recovering a set of per-shard log segments.
 #[derive(Debug)]
 pub struct ShardedRecoveryOutcome {
-    /// Per-shard outcomes, indexed by shard: each `db` holds only that
-    /// shard's table partition.
+    /// Per-shard outcomes, indexed by shard (winners, losers, widowed
+    /// rollbacks, replay counts). Each one's `db` is **empty**: its
+    /// tables were moved, not copied, into the merged [`Self::db`], so
+    /// recovery never holds a table twice.
     pub shards: Vec<RecoveryOutcome>,
     /// The merged database (tables are disjoint across shards by the
     /// partitioning rule, so the merge is a union).
@@ -504,8 +506,8 @@ pub fn recover_sharded(
         shards.push(out);
     }
     let mut db = Database::new();
-    for out in &shards {
-        for t in out.db.clone().into_tables() {
+    for out in &mut shards {
+        for t in std::mem::take(&mut out.db).into_tables() {
             db.adopt_table(t);
         }
     }
